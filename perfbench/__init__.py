@@ -1,0 +1,6 @@
+"""Served-path benchmark for HypeR: workloads, load generator, tracing launcher.
+
+Run one measurement with ``python3 perfbench/run.py --workload NAME --seed N
+--seconds S --trace 0|1`` from the repository root; ``BENCHMARK.json`` lists
+the workloads and metrics.
+"""
