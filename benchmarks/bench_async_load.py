@@ -1,15 +1,13 @@
-"""Async front-end under concurrent load vs the threaded server, plus overload.
+"""The HTTP front door under concurrent load, plus overload.
 
-Drives real ``repro serve`` subprocesses (the threaded front-end and the
-asyncio front-end of :mod:`repro.aserve`) with N concurrent keep-alive
-clients — the production-shaped runs through the v1
-:class:`repro.api.HypeRClient` SDK, plus one raw-``http.client`` run to
-price the SDK — over the warm German-Syn 4000 repeated-template what-if
-suite, and asserts the serving acceptance criteria:
+Drives real ``repro serve`` subprocesses (the asyncio front door of
+:mod:`repro.aserve`) with N concurrent keep-alive clients (default 32;
+``BENCH_ASYNC_CLIENTS`` overrides — CI smoke uses 16) — the
+production-shaped runs through the v1 :class:`repro.api.HypeRClient` SDK,
+plus one raw-``http.client`` run to price the SDK — over the warm
+German-Syn 4000 repeated-template what-if suite, and asserts the serving
+acceptance criteria:
 
-* the async front-end sustains **at least the threaded server's throughput**
-  under N concurrent clients (default 32; ``BENCH_ASYNC_CLIENTS`` overrides —
-  CI smoke uses 16);
 * the **p99 admission decision** (read from the async server's own
   ``/stats`` reservoir) is **< 50 ms**;
 * when offered load exceeds ``max_inflight + queue_depth``, excess requests
@@ -112,8 +110,7 @@ def post_query(
     """POST /query, reopening the connection (with backoff) if it was dropped.
 
     Returns the retry count so the load run can report how hard the client
-    had to work; the threaded server closes every connection (HTTP/1.0) and
-    under bursts a client can still race its backlog.
+    had to work; under bursts a client can still race the listen backlog.
     """
     body = json.dumps({"query": text}).encode()
     for attempt in range(retries + 1):
@@ -330,20 +327,11 @@ def test_async_load():
     expected = {text: direct.execute(text).value for text in QUERY_TEXTS}
     expected.update({text: direct.execute(text).value for text in OVERLOAD_TEXTS})
 
-    # -- threaded front-end ---------------------------------------------------------
-    process, host, port = spawn_serve()
-    try:
-        warm(host, port, QUERY_TEXTS)
-        threaded = run_load(host, port, N_CLIENTS)
-    finally:
-        stop_serve(process)
-    assert not threaded["failures"], threaded["failures"][:5]
-
-    # -- async front-end (ample capacity: measure throughput, not rejection) --------
+    # -- ample capacity: measure throughput, not rejection -----------------------------
     # raw http.client sockets first, then the HypeRClient SDK on the same
     # warm server: the delta is the SDK's overhead
     process, host, port = spawn_serve(
-        "--async", "--max-inflight", "8", "--queue-depth", str(max(64, 4 * N_CLIENTS)),
+        "--max-inflight", "8", "--queue-depth", str(max(64, 4 * N_CLIENTS)),
         "--warm-query", QUERY_TEXTS[0],
     )
     try:
@@ -370,7 +358,7 @@ def test_async_load():
 
     # -- overload: offered load exceeds max_inflight + queue_depth -------------------
     process, host, port = spawn_serve(
-        "--async", "--max-inflight", "2", "--queue-depth", "2",
+        "--max-inflight", "2", "--queue-depth", "2",
         "--warm-query", OVERLOAD_TEXTS[0],
     )
     try:
@@ -382,21 +370,14 @@ def test_async_load():
     # -- report ----------------------------------------------------------------------
     rows = [
         [
-            "threaded ThreadingHTTPServer",
-            fmt(threaded["seconds"]),
-            fmt(threaded["qps"], 1),
-            fmt(threaded["p99_request_seconds"] * 1e3, 1),
-            threaded["retries"],
-        ],
-        [
-            "async aserve (raw sockets)",
+            "raw http.client sockets",
             fmt(asynchronous["seconds"]),
             fmt(asynchronous["qps"], 1),
             fmt(asynchronous["p99_request_seconds"] * 1e3, 1),
             asynchronous["retries"],
         ],
         [
-            "async aserve (HypeRClient SDK)",
+            "HypeRClient SDK",
             fmt(sdk["seconds"]),
             fmt(sdk["qps"], 1),
             fmt(sdk["p99_request_seconds"] * 1e3, 1),
@@ -404,9 +385,9 @@ def test_async_load():
         ],
     ]
     print_table(
-        f"Serving front-ends — {N_CLIENTS} concurrent clients x "
+        f"HTTP front door — {N_CLIENTS} concurrent clients x "
         f"{REQUESTS_PER_CLIENT} queries (German-Syn {N_ROWS}, warm)",
-        ["front-end", "total s", "q/s", "p99 ms", "client retries"],
+        ["client", "total s", "q/s", "p99 ms", "client retries"],
         rows,
     )
     n_accepted = overload["statuses"].count(200)
@@ -429,10 +410,7 @@ def test_async_load():
     mismatches = [
         (text, value, expected[text])
         for text, value in (
-            threaded["answers"]
-            + asynchronous["answers"]
-            + sdk["answers"]
-            + overload["values"]
+            asynchronous["answers"] + sdk["answers"] + overload["values"]
         )
         if value != expected[text]
     ]
@@ -441,13 +419,10 @@ def test_async_load():
         "dataset": f"german-syn-{N_ROWS}",
         "n_clients": N_CLIENTS,
         "requests_per_client": REQUESTS_PER_CLIENT,
-        "threaded_qps": threaded["qps"],
         "async_qps": asynchronous["qps"],
-        "async_over_threaded": asynchronous["qps"] / threaded["qps"],
         "client_qps": sdk["qps"],
         "client_over_raw": client_over_raw,
         "client_p99_request_seconds": sdk["p99_request_seconds"],
-        "threaded_p99_request_seconds": threaded["p99_request_seconds"],
         "async_p99_request_seconds": asynchronous["p99_request_seconds"],
         "admission_decision_p99_seconds": decision_p99,
         "admission_decisions": admission["decisions"]["count"],
@@ -469,7 +444,6 @@ def test_async_load():
     assert metrics_delta.get("hyper_queries_total") == (
         asynchronous["n_requests"] + sdk["n_requests"]
     ), metrics_delta
-    assert asynchronous["qps"] >= threaded["qps"], payload
     assert client_over_raw >= 0.9, payload  # SDK costs <= 10% throughput
     assert decision_p99 < 0.05, payload
     assert n_accepted + n_rejected == N_CLIENTS

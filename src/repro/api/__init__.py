@@ -14,9 +14,9 @@ Three pieces, one contract (see ``docs/api.md``):
   with the same retry/deadline semantics over a pooled-connection client
   that is safe to share across tasks on one event loop.
 
-:mod:`repro.api.endpoints` is the shared ``/v1/*`` endpoint table both HTTP
-front doors mount; import it to build new front ends that cannot drift from
-the contract.
+:mod:`repro.api.endpoints` is the ``/v1/*`` endpoint table the HTTP front
+door (:mod:`repro.aserve`) mounts; import it to build new front ends that
+cannot drift from the contract.
 """
 
 from .builder import (

@@ -269,6 +269,29 @@ class AsyncHypeRClient:
             await self._bounded(conn.reader.readexactly(2), deadline)  # CRLF
             yield chunk
 
+    async def _ndjson_stream(
+        self, conn: _Conn, deadline: _Deadline, what: str
+    ) -> AsyncIterator[dict[str, Any]]:
+        """Every JSON line of a chunked NDJSON body, read through its terminator.
+
+        Reading to the end keeps the connection clean for reuse; a transport
+        failure mid-stream retires the connection and raises
+        :class:`TransportError` naming ``what`` stream failed.
+        """
+        buffer = b""
+        try:
+            async for chunk in self._iter_chunks(conn, deadline):
+                buffer += chunk
+                while b"\n" in buffer:
+                    line, buffer = buffer.split(b"\n", 1)
+                    if line.strip():
+                        yield json.loads(line)
+        except _RETRYABLE as error:
+            self._discard(conn)
+            raise TransportError(
+                f"{what} stream failed: {error}", request_id=deadline.request_id
+            ) from error
+
     @staticmethod
     def _decompress(raw: bytes, headers: dict[str, str]) -> bytes:
         if raw and headers.get("content-encoding", "").strip().lower() == "gzip":
@@ -509,8 +532,8 @@ class AsyncHypeRClient:
     ) -> AsyncIterator[BatchItem]:
         """Stream a batch's per-query outcomes as the server emits them.
 
-        NDJSON (async front door) streams in completion order; a single JSON
-        response (threaded front door) yields items in index order.
+        Items arrive in completion order; a stream that ends before its
+        ``done`` line (or with too few items) raises :class:`TransportError`.
         """
         texts = [HypeRClient._as_text(q) for q in queries]
         request = BatchRequest(
@@ -527,44 +550,31 @@ class AsyncHypeRClient:
             raise _error_from_response(
                 status, _decode_body(raw), request_id=budget.request_id
             )
-        content_type = headers.get("content-type", "").lower()
-        chunked = headers.get("transfer-encoding", "").lower() == "chunked"
-        if "ndjson" not in content_type or not chunked:
+        if "ndjson" not in headers.get("content-type", "").lower():
+            # only an empty batch is answered as one JSON object
             raw = await self._read_full_body(conn, headers, budget)
             self._finish(conn, will_close)
-            for item in HypeRClient._iter_results(_decode_body(raw)):
-                yield item
+            _decode_body(raw)
+            if texts:
+                raise TransportError(
+                    "expected an NDJSON batch stream", request_id=budget.request_id
+                )
             return
         seen = 0
-        buffer = b""
-        try:
-            async for chunk in self._iter_chunks(conn, budget):
-                buffer += chunk
-                while b"\n" in buffer:
-                    line, buffer = buffer.split(b"\n", 1)
-                    if not line.strip():
-                        continue
-                    data = json.loads(line)
-                    if data.get("done"):
-                        if seen != len(texts):
-                            raise TransportError(
-                                f"batch stream closed after {seen}/{len(texts)} results",
-                                request_id=budget.request_id,
-                            )
-                        self._finish(conn, will_close)
-                        return
-                    seen += 1
-                    yield BatchItem.from_json(data)
-        except _RETRYABLE as error:
+        done = False
+        async for data in self._ndjson_stream(conn, budget, "batch"):
+            if data.get("done"):
+                done = True
+            elif not done:
+                seen += 1
+                yield BatchItem.from_json(data)
+        if not done or seen != len(texts):
             self._discard(conn)
             raise TransportError(
-                f"batch stream failed: {error}", request_id=budget.request_id
-            ) from error
-        self._discard(conn)
-        raise TransportError(
-            f"batch stream ended early: {seen}/{len(texts)} results",
-            request_id=budget.request_id,
-        )
+                f"batch stream ended early: {seen}/{len(texts)} results",
+                request_id=budget.request_id,
+            )
+        self._finish(conn, will_close)
 
     async def batch_collect(
         self,
@@ -663,9 +673,8 @@ class AsyncHypeRClient:
         """``GET /v1/jobs/{id}/events``: stream the job's NDJSON event lines.
 
         Yields each event dict live and ends after the server's
-        ``{"done": true, ...}`` line (yielded last).  Works against both
-        framings: chunked (async front door) and close-delimited (threaded
-        front door).
+        ``{"done": true, ...}`` line (yielded last); a stream that ends
+        before that line raises :class:`TransportError`.
         """
         path = f"/v1/jobs/{job_id}/events"
         if timeout_s is not None:
@@ -680,40 +689,18 @@ class AsyncHypeRClient:
             raise _error_from_response(
                 status, _decode_body(raw), request_id=budget.request_id
             )
-        chunked = headers.get("transfer-encoding", "").lower() == "chunked"
-        try:
-            if chunked:
-                buffer = b""
-                async for chunk in self._iter_chunks(conn, budget):
-                    buffer += chunk
-                    while b"\n" in buffer:
-                        line, buffer = buffer.split(b"\n", 1)
-                        if not line.strip():
-                            continue
-                        data = json.loads(line)
-                        yield data
-                        if data.get("done"):
-                            # remaining chunks (the terminator) are unread —
-                            # retire the connection instead of pooling it
-                            self._discard(conn)
-                            return
-            else:
-                while True:
-                    line = await self._bounded(conn.reader.readline(), budget)
-                    if not line:
-                        break  # close-delimited stream ended
-                    if not line.strip():
-                        continue
-                    data = json.loads(line)
-                    yield data
-                    if data.get("done"):
-                        break
-        except _RETRYABLE as error:
+        done = False
+        async for data in self._ndjson_stream(conn, budget, "job event"):
+            if not done:
+                done = bool(data.get("done"))
+                yield data
+        if not done:
             self._discard(conn)
             raise TransportError(
-                f"job event stream failed: {error}", request_id=budget.request_id
-            ) from error
-        self._discard(conn)
+                "job event stream ended early: no done line",
+                request_id=budget.request_id,
+            )
+        self._finish(conn, will_close)
 
     async def wait(
         self,

@@ -22,17 +22,17 @@ Behaviors:
   server's caches treat them as the same plan.
 * **Retries.** Bounded (``max_retries``); 429 answers honor the server's
   ``Retry-After`` before retrying, transport failures (server closed the
-  keep-alive connection, HTTP/1.0 front door) reconnect with exponential
-  backoff.  Safe because every endpoint is either read-only or (for
-  ``update``) an idempotent whole-column overwrite — replaying it commits
-  the same values again.
+  keep-alive connection) reconnect with exponential backoff.  Safe because
+  every endpoint is either read-only or (for ``update``) an idempotent
+  whole-column overwrite — replaying it commits the same values again.
 * **Deadlines.** ``deadline`` caps the *whole* call including retries and
   backoff sleeps; when it cannot be met the client raises
   :class:`DeadlineExceeded` instead of sleeping past it.
 * **Streaming.** :meth:`HypeRClient.batch` yields
-  :class:`~repro.api.schemas.BatchItem` lines as the async front door streams
-  them (completion order); against the threaded front door's single JSON
-  response it yields the same items in index order.
+  :class:`~repro.api.schemas.BatchItem` lines as the server streams them
+  (completion order); :meth:`HypeRClient.job_events` yields job progress
+  lines live.  A stream that ends before its ``done`` line raises
+  :class:`TransportError`.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ class _Deadline:
 
 
 class HypeRClient:
-    """Client for a HypeR service's ``/v1`` HTTP API (threaded or async front door).
+    """Client for a HypeR service's ``/v1`` HTTP API (``repro serve``).
 
     Parameters
     ----------
@@ -486,10 +486,9 @@ class HypeRClient:
     ) -> Iterator[BatchItem]:
         """Stream a batch's per-query outcomes as they complete.
 
-        Against the asyncio front door this yields NDJSON lines live (in
-        completion order); against the threaded front door it yields the
-        single JSON response's items in index order.  The iterator owns the
-        connection until exhausted — drain it before issuing the next call.
+        Yields the server's NDJSON lines live, in completion order.  The
+        iterator owns the connection until exhausted — drain it before
+        issuing the next call.
         """
         texts = [self._as_text(q) for q in queries]
         request = BatchRequest(
@@ -508,10 +507,16 @@ class HypeRClient:
         content_type = (response.getheader("Content-Type") or "").lower()
         if "ndjson" in content_type:
             return self._iter_ndjson(response, len(texts), budget)
+        # only an empty batch is answered as one JSON object
         raw = _read_body(response)
         if response.will_close:
             self._drop_connection()
-        return self._iter_results(_decode_body(raw))
+        _decode_body(raw)
+        if texts:
+            raise TransportError(
+                "expected an NDJSON batch stream", request_id=budget.request_id
+            )
+        return iter(())
 
     def batch_collect(
         self,
@@ -647,15 +652,17 @@ class HypeRClient:
                 deadline.check()
                 line = response.readline()
                 if not line:
-                    # close-delimited stream (threaded front door) ends here
                     self._drop_connection()
-                    return
+                    raise TransportError(
+                        "job event stream ended early: no done line",
+                        request_id=deadline.request_id,
+                    )
                 if not line.strip():
                     continue
                 data = json.loads(line)
                 yield data
                 if data.get("done"):
-                    response.read()  # drain the chunked terminator, if any
+                    response.read()  # drain the chunked terminator
                     if response.will_close:
                         self._drop_connection()
                     return
@@ -700,6 +707,7 @@ class HypeRClient:
                 deadline.check()
                 line = response.readline()
                 if not line:
+                    self._drop_connection()
                     raise TransportError(
                         f"batch stream ended early: {seen}/{n_queries} results",
                         request_id=deadline.request_id,
@@ -724,17 +732,6 @@ class HypeRClient:
             raise TransportError(
                 f"batch stream failed: {error}", request_id=deadline.request_id
             ) from error
-
-    @staticmethod
-    def _iter_results(body: dict[str, Any]) -> Iterator[BatchItem]:
-        results = body.get("results")
-        if not isinstance(results, list):
-            raise TransportError(f"malformed batch response: {body!r}")
-        for index, entry in enumerate(results):
-            if isinstance(entry, dict) and "error" in entry:
-                yield BatchItem(index=index, error=ErrorEnvelope.from_json(entry))
-            else:
-                yield BatchItem(index=index, result=answer_from_json(entry))
 
 
 def _read_body(response: http.client.HTTPResponse) -> bytes:

@@ -1,9 +1,8 @@
-"""The shared, declarative ``/v1/*`` endpoint table and wire policy.
+"""The declarative ``/v1/*`` endpoint table and wire policy.
 
-Both HTTP front doors — the threaded :mod:`repro.service.server` and the
-asyncio :mod:`repro.aserve` — mount exactly this table, so routing, legacy
-aliases, error envelopes and the 400/413/429 semantics are defined once and
-cannot drift:
+The HTTP front door (:mod:`repro.aserve`) and the cluster shard nodes mount
+this table, so routing, legacy aliases, error envelopes and the 400/413/429
+semantics are defined once:
 
 =======  ==============  ==================  ===========================================
 method   v1 path         legacy alias        body
@@ -17,7 +16,7 @@ POST     ``/v1/query``   ``/query``          :class:`~repro.api.schemas.QueryReq
                                              :class:`~repro.api.schemas.WhatIfAnswer` /
                                              :class:`~repro.api.schemas.HowToAnswer`
 POST     ``/v1/batch``   ``/batch``          :class:`~repro.api.schemas.BatchRequest` →
-                                             NDJSON stream (async) / JSON list (threaded)
+                                             NDJSON stream of :class:`~repro.api.schemas.BatchItem`
 POST     ``/v1/update``  —                   :class:`~repro.api.schemas.UpdateRequest` →
                                              :class:`~repro.api.schemas.UpdateAnswer`
 POST     ``/v1/prepare`` —                   :class:`~repro.api.schemas.PrepareRequest` →
@@ -73,6 +72,7 @@ __all__ = [
     "ApiError",
     "Endpoint",
     "V1_ENDPOINTS",
+    "ENDPOINTS_SUMMARY",
     "resolve",
     "match",
     "check_body_length",
@@ -98,12 +98,11 @@ __all__ = [
     "prepare_payload",
     "apply_update_payload",
     "execute_query_payload",
-    "batch_response_payload",
     "batch_line",
     "batch_done_line",
 ]
 
-#: default request-body ceiling shared by the threaded and asyncio front-ends
+#: default request-body ceiling of the front door
 MAX_BODY_BYTES = 4 * 1024 * 1024
 
 #: default size threshold (bytes) below which responses are never gzipped —
@@ -138,8 +137,8 @@ class ApiError(HypeRError):
 class Endpoint:
     """One row of the public API: canonical ``/v1`` path plus legacy aliases.
 
-    A path may contain ``{param}`` segments (``/v1/jobs/{id}``); both front
-    doors route through :func:`match`, which binds them to concrete path
+    A path may contain ``{param}`` segments (``/v1/jobs/{id}``); the front
+    door routes through :func:`match`, which binds them to concrete path
     segments and returns the bindings alongside the endpoint.
     """
 
@@ -174,6 +173,9 @@ V1_ENDPOINTS: tuple[Endpoint, ...] = (
     Endpoint("job_result", "GET", "/v1/jobs/{id}/result"),
     Endpoint("job_cancel", "POST", "/v1/jobs/{id}/cancel"),
 )
+
+#: one-line listing of the table, printed by ``repro serve`` at startup
+ENDPOINTS_SUMMARY = ", ".join(f"{e.method} {e.path}" for e in V1_ENDPOINTS)
 
 _ROUTES: dict[tuple[str, str], Endpoint] = {
     (endpoint.method, path): endpoint
@@ -254,7 +256,7 @@ def decode_json_object(raw: bytes) -> dict[str, Any]:
 def decompress_body(
     raw: bytes, content_encoding: str | None, *, max_bytes: int = MAX_BODY_BYTES
 ) -> bytes:
-    """Undo a request body's ``Content-Encoding`` (shared by both front doors).
+    """Undo a request body's ``Content-Encoding``.
 
     Only ``gzip`` (and the no-op ``identity``) are supported; anything else is
     400.  The *decompressed* size is held to the same ceiling as a plain body,
@@ -335,8 +337,8 @@ def code_for_status(status: int) -> str:
 def envelope_for(error: BaseException) -> tuple[int, ErrorEnvelope]:
     """Map any failure to its HTTP status and :class:`ErrorEnvelope`.
 
-    This is the single classification both front doors use, so the same bad
-    input gets the identical answer on either server.
+    This is the single classification every route uses, so the same bad
+    input gets the identical answer on every endpoint.
     """
     if isinstance(error, ApiError):
         return error.status, error.envelope
@@ -520,7 +522,7 @@ def apply_update_payload(
 
     Unknown relations/attributes and length mismatches surface as engine
     exceptions and map to 400 through :func:`envelope_for`; in-flight queries
-    on either front door keep their pinned snapshot and are not paused.
+    keep their pinned snapshot and are not paused.
     """
     assignments = {
         relation: dict(columns) for relation, columns in request.assignments.items()
@@ -562,34 +564,3 @@ def batch_done_line(n_queries: int) -> dict[str, Any]:
     """The closing NDJSON line of a streamed batch."""
     return {"done": True, "n_queries": n_queries}
 
-
-def batch_response_payload(
-    service: "HypeRService",
-    request: BatchRequest,
-    *,
-    deadline: "RequestDeadline | None" = None,
-) -> dict[str, Any]:
-    """Answer a whole batch as one JSON object (the non-streaming form).
-
-    Failures are captured per query as inline error envelopes; a bad entry
-    cannot discard the rest of the batch.  A batch whose ``deadline_ms``
-    budget already ran out answers per-item ``deadline_exceeded`` envelopes
-    without executing anything.
-    """
-    if deadline is None:
-        deadline = RequestDeadline.of(request)
-    if deadline is not None and deadline.expired:
-        envelope = deadline_error(deadline.deadline_ms).envelope.to_json()
-        return {
-            "results": [dict(envelope) for _ in request.queries],
-            "n_queries": len(request.queries),
-        }
-    results = service.execute_many(list(request.queries), return_errors=True)
-    payloads = []
-    for outcome in results:
-        if isinstance(outcome, Exception):
-            _status, envelope = envelope_for(outcome)
-            payloads.append(envelope.to_json())
-        else:
-            payloads.append(outcome.payload())
-    return {"results": payloads, "n_queries": len(payloads)}

@@ -13,7 +13,7 @@ Backpressure signals are read live from
 decision:
 
 * the **service-level in-flight count** covers executions from *every*
-  front-end sharing the service (the threaded server, direct library calls),
+  caller sharing the service (background jobs, direct library calls),
   so capacity consumed elsewhere shrinks what this front door admits;
 * the **per-endpoint latency sums** turn the current backlog into the
   ``Retry-After`` hint (backlog × average query seconds / slots);

@@ -1,25 +1,25 @@
-"""Endpoint routing for the asyncio front-end.
+"""Endpoint routing for the HTTP front door.
 
 :class:`AsyncApp` owns one connection loop (`handle_connection`, passed to
-``asyncio.start_server``) and the four endpoints, mirroring the threaded
-server's contract plus the overload and streaming behaviors:
+``asyncio.start_server``) and every ``/v1`` endpoint, plus the overload and
+streaming behaviors:
 
-* ``GET /health`` — ``200 {"status": "ok"}``, or ``503 {"status":
+* ``GET /v1/health`` — ``200 {"status": "ok", ...}``, or ``503 {"status":
   "draining"}`` once shutdown has begun;
-* ``GET /stats`` — :meth:`HypeRService.stats` (which embeds the serving
+* ``GET /v1/stats`` — :meth:`HypeRService.stats` (which embeds the serving
   counters) plus an ``"aserve"`` section with the admission controller's
   numbers (queue occupancy, peaks, decision-time percentiles);
-* ``GET /v1/metrics`` (alias ``/metrics``) — Prometheus text exposition of
-  the shared service registry, rendered on the auxiliary thread so scrapes
-  succeed under query-executor saturation;
+* ``GET /v1/metrics`` — Prometheus text exposition of the shared service
+  registry, rendered on the auxiliary thread so scrapes succeed under
+  query-executor saturation;
 * ``GET /v1/slow`` — the bounded slow-query log;
-* ``POST /query`` — admission-controlled single query.  At capacity the
+* ``POST /v1/query`` — admission-controlled single query.  At capacity the
   answer is ``429`` with a ``Retry-After`` header, decided synchronously on
   the event loop; admitted work is handed to the executor thread pool so the
   loop never blocks on an engine call;
-* ``POST /batch`` — reserves one admission unit per query (whole batch or
+* ``POST /v1/batch`` — reserves one admission unit per query (whole batch or
   nothing), then **streams** NDJSON lines in order of *completion*: one slow
-  how-to no longer head-of-line-blocks the other answers.  Each line is
+  how-to does not head-of-line-block the other answers.  Each line is
   ``{"index": i, "result": {...}}`` or ``{"index": i, "error": ..., "code":
   ...}``, closed by ``{"done": true, "n_queries": k}``;
 * ``POST /v1/update`` — commits a column-overwrite as one MVCC generation
@@ -31,23 +31,23 @@ server's contract plus the overload and streaming behaviors:
   auxiliary thread;
 * ``POST /v1/jobs`` and friends — the durable async job surface
   (:mod:`repro.jobs`): submit, list, status, NDJSON event streaming (the
-  same chunked framing as ``/batch``), result fetch, cancel.  Jobs are not
+  same chunked framing as ``/v1/batch``), result fetch, cancel.  Jobs are not
   admission-controlled — per-client quotas are their throttle, and the
   executor's running leases feed ``serving_signals()`` so interactive
   admission sees background pressure.
 
-Requests may carry ``X-Client-Id``; it scopes job quotas and per-client
-serving stats, defaulting to a per-connection anonymous id.
+Every request's ``X-Request-Id`` is adopted (or minted) before routing and
+echoed on every response — JSON, text, streamed, and error answers alike —
+because the response helpers stamp it, not the handlers.  Requests may also
+carry ``X-Client-Id``; it scopes job quotas and per-client serving stats,
+defaulting to a per-connection anonymous id.
 
-Routing, request validation and error bodies come from the shared ``/v1``
-endpoint table in :mod:`repro.api.endpoints` (every endpoint also answers on
-its canonical ``/v1/*`` path; the bare paths above are the legacy aliases).
-Body handling shares :func:`~repro.api.endpoints.check_body_length` /
-:func:`~repro.api.endpoints.decode_json_object` with the threaded server:
-oversized bodies are ``413`` (rejected before the read, in the protocol
-layer), malformed JSON ``400``, and every failure wears the shared
-``{"error", "code", "detail"?}`` envelope — byte-identical policy on both
-front doors.
+Routing, request validation and error bodies come from the ``/v1`` endpoint
+table in :mod:`repro.api.endpoints` (the legacy bare paths ``/health``,
+``/stats``, ``/metrics``, ``/query`` and ``/batch`` are aliases).  Oversized
+bodies are ``413`` (rejected before the read, in the protocol layer),
+malformed JSON ``400``, and every failure wears the shared ``{"error",
+"code", "detail"?}`` envelope.
 """
 
 from __future__ import annotations
@@ -77,11 +77,12 @@ from .protocol import (
     HttpProtocolError,
     Request,
     read_request,
-    render_json_response,
     render_response,
 )
 
 __all__ = ["AsyncApp"]
+
+Handler = Callable[[Request, asyncio.StreamWriter, bool], Awaitable[bool]]
 
 
 def _retry_after_headers(rejected: AdmissionRejected) -> dict[str, str]:
@@ -133,6 +134,22 @@ class AsyncApp:
         # currently inside a request handler (mid-response, must not be cut)
         self._connections: set[asyncio.StreamWriter] = set()
         self._busy: set[asyncio.StreamWriter] = set()
+        self._handlers: dict[str, Handler] = {
+            "health": self._handle_health,
+            "stats": self._handle_stats,
+            "metrics": self._handle_metrics,
+            "slow": self._handle_slow,
+            "query": self._handle_query,
+            "batch": self._handle_batch,
+            "update": self._handle_update,
+            "prepare": self._handle_prepare,
+            "jobs_submit": self._handle_jobs_submit,
+            "jobs_list": self._handle_jobs_list,
+            "job_status": self._handle_job_status,
+            "job_result": self._handle_job_result,
+            "job_events": self._handle_job_events,
+            "job_cancel": self._handle_job_cancel,
+        }
 
     def close(self) -> None:
         """Release the app's own resources (the runner calls this at drain)."""
@@ -173,17 +190,14 @@ class AsyncApp:
                     break  # idle keep-alive connection: close silently
                 except HttpProtocolError as error:
                     keep = not error.close
-                    writer.write(
-                        render_json_response(
-                            error.status,
-                            {
-                                "error": str(error),
-                                "code": api.code_for_status(error.status),
-                            },
-                            keep_alive=keep,
-                        )
+                    envelope = ErrorEnvelope(api.code_for_status(error.status), str(error))
+                    await self._respond(
+                        writer,
+                        error.status,
+                        json.dumps(envelope.to_json()).encode(),
+                        keep,
+                        request_id=error.request_id or obs_trace.new_request_id(),
                     )
-                    await writer.drain()
                     if keep:
                         continue
                     break
@@ -208,38 +222,29 @@ class AsyncApp:
     async def _dispatch(
         self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool
     ) -> bool:
-        """Answer one request; returns whether the connection stays open.
+        """Answer one request; returns whether the connection stays open."""
+        # adopt the client's X-Request-Id or mint one *before* routing, so
+        # even a 404 echoes it and client logs and server traces correlate
+        request.headers.setdefault("x-request-id", obs_trace.new_request_id())
+        handler = self._route(request)
+        if handler is None:
+            return await self._send_error(
+                request, writer, api.not_found(request.path), keep_alive
+            )
+        return await handler(request, writer, keep_alive)
 
-        Routing comes from the shared ``/v1`` endpoint table — canonical
-        ``/v1/*`` paths and their legacy aliases resolve to the same handler,
-        so both spellings answer byte-identically.
+    def _route(self, request: Request) -> Handler | None:
+        """The handler for ``request``, binding ``{param}`` path segments.
+
+        Canonical ``/v1/*`` paths and their legacy aliases resolve to the same
+        handler, so both spellings answer byte-identically.  Subclasses (the
+        cluster shard node) extend this with internal routes.
         """
         matched = api.match(request.method, request.path)
         if matched is None:
-            return await self._send_error(writer, api.not_found(request.path), keep_alive)
-        endpoint, params = matched
-        # adopt the client's X-Request-Id or mint one; every JSON response
-        # echoes it back so client logs and server traces correlate
-        request.headers.setdefault("x-request-id", obs_trace.new_request_id())
-        route: Callable[..., Awaitable[bool]] = {
-            "health": self._handle_health,
-            "stats": self._handle_stats,
-            "metrics": self._handle_metrics,
-            "slow": self._handle_slow,
-            "query": self._handle_query,
-            "batch": self._handle_batch,
-            "update": self._handle_update,
-            "prepare": self._handle_prepare,
-            "jobs_submit": self._handle_jobs_submit,
-            "jobs_list": self._handle_jobs_list,
-            "job_status": self._handle_job_status,
-            "job_result": self._handle_job_result,
-            "job_events": self._handle_job_events,
-            "job_cancel": self._handle_job_cancel,
-        }[endpoint.name]
-        if params:
-            return await route(request, writer, keep_alive, params)
-        return await route(request, writer, keep_alive)
+            return None
+        endpoint, request.params = matched
+        return self._handlers[endpoint.name]
 
     def _client_id(self, request: Request, writer: asyncio.StreamWriter) -> str:
         """The caller's id: ``X-Client-Id`` or a per-connection anonymous id."""
@@ -258,54 +263,108 @@ class AsyncApp:
         if note is not None:
             note(self._client_id(request, writer), rejected=rejected)
 
+    @staticmethod
+    def _trace(request: Request) -> "obs_trace.TraceContext | None":
+        """A trace context when the request opts in with ``?trace=1``."""
+        if api.wants_trace(request.query_string):
+            return obs_trace.TraceContext(request.request_id)
+        return None
+
+    # -- responses ---------------------------------------------------------------------
+
+    async def _respond(
+        self,
+        writer: asyncio.StreamWriter,
+        status: int,
+        body: bytes,
+        keep_alive: bool,
+        *,
+        request_id: str,
+        accept_encoding: str | None = None,
+        content_type: str = "application/json",
+        extra_headers: dict[str, str] | None = None,
+    ) -> bool:
+        """Write one fixed-length response; every answer carries its request id."""
+        headers = {**(extra_headers or {}), "X-Request-Id": request_id}
+        body, compressed = api.maybe_gzip(
+            body,
+            enabled=api.accepts_gzip(accept_encoding),
+            threshold=self.gzip_min_bytes,
+        )
+        if compressed:
+            headers["Content-Encoding"] = "gzip"
+        writer.write(
+            render_response(
+                status,
+                body,
+                content_type=content_type,
+                keep_alive=keep_alive,
+                extra_headers=headers,
+            )
+        )
+        await writer.drain()
+        return keep_alive
+
     async def _send(
         self,
+        request: Request,
         writer: asyncio.StreamWriter,
         status: int,
         payload: Any,
         keep_alive: bool,
         *,
         extra_headers: dict[str, str] | None = None,
-        request_id: str = "",
-        request: Request | None = None,
     ) -> bool:
-        if request_id:
-            extra_headers = {**(extra_headers or {}), "X-Request-Id": request_id}
-        body = json.dumps(payload, default=str).encode()
-        body, compressed = api.maybe_gzip(
-            body,
-            enabled=request is not None
-            and api.accepts_gzip(request.headers.get("accept-encoding")),
-            threshold=self.gzip_min_bytes,
+        """Answer ``request`` with a JSON ``payload``."""
+        return await self._respond(
+            writer,
+            status,
+            json.dumps(payload, default=str).encode(),
+            keep_alive,
+            request_id=request.request_id,
+            accept_encoding=request.headers.get("accept-encoding"),
+            extra_headers=extra_headers,
         )
-        if compressed:
-            extra_headers = {**(extra_headers or {}), "Content-Encoding": "gzip"}
-        writer.write(
-            render_response(
-                status, body, keep_alive=keep_alive, extra_headers=extra_headers
-            )
-        )
-        await writer.drain()
-        return keep_alive
 
     async def _send_error(
         self,
+        request: Request,
         writer: asyncio.StreamWriter,
         error: BaseException,
         keep_alive: bool,
-        *,
-        request_id: str = "",
     ) -> bool:
         """Answer a failure with the shared envelope (status + code + message)."""
         status, envelope = api.envelope_for(error)
-        return await self._send(
-            writer, status, envelope.to_json(), keep_alive, request_id=request_id
-        )
+        return await self._send(request, writer, status, envelope.to_json(), keep_alive)
+
+    async def _answer(
+        self,
+        request: Request,
+        writer: asyncio.StreamWriter,
+        keep_alive: bool,
+        work: Awaitable[Any],
+        *,
+        status: int = 200,
+    ) -> bool:
+        """Await ``work`` and send its payload, or its failure as an envelope."""
+        try:
+            payload = await work
+        except Exception as error:  # noqa: BLE001 - keep the JSON contract
+            return await self._send_error(request, writer, error, keep_alive)
+        return await self._send(request, writer, status, payload, keep_alive)
 
     async def _run_blocking(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Any:
+        """Run ``fn`` on the query executor, off the event loop."""
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             self._executor, functools.partial(fn, *args, **kwargs)
+        )
+
+    async def _run_aux(self, fn: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Any:
+        """Run control-plane ``fn`` on the auxiliary thread."""
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(
+            self._aux_executor, functools.partial(fn, *args, **kwargs)
         )
 
     # -- endpoints ---------------------------------------------------------------------
@@ -318,66 +377,45 @@ class AsyncApp:
             # code="unavailable"; "status" stays for legacy health checks
             body = ErrorEnvelope("unavailable", "service is draining").to_json()
             body["status"] = "draining"
-            return await self._send(writer, 503, body, keep_alive=False)
+            return await self._send(request, writer, 503, body, keep_alive=False)
         return await self._send(
-            writer, 200, api.health_payload(self.service), keep_alive
+            request, writer, 200, api.health_payload(self.service), keep_alive
         )
 
     async def _handle_stats(
         self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool
     ) -> bool:
-        loop = asyncio.get_running_loop()
-        payload = await loop.run_in_executor(
-            self._aux_executor, api.stats_payload, self.service
-        )
-        payload["aserve"] = {
-            "draining": self.draining,
-            "admission": self.admission.stats(),
-        }
-        return await self._send(
-            writer, 200, payload, keep_alive,
-            request_id=request.request_id, request=request,
-        )
+        async def stats() -> dict[str, Any]:
+            payload = await self._run_aux(api.stats_payload, self.service)
+            payload["aserve"] = {
+                "draining": self.draining,
+                "admission": self.admission.stats(),
+            }
+            return payload
+
+        return await self._answer(request, writer, keep_alive, stats())
 
     async def _handle_metrics(
         self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool
     ) -> bool:
         # control-plane like /stats: rendered off-loop on the auxiliary
         # thread so a scrape succeeds even when the query executor is full
-        loop = asyncio.get_running_loop()
-        text = await loop.run_in_executor(
-            self._aux_executor, api.metrics_text, self.service
-        )
-        body, compressed = api.maybe_gzip(
+        text = await self._run_aux(api.metrics_text, self.service)
+        return await self._respond(
+            writer,
+            200,
             text.encode("utf-8"),
-            enabled=api.accepts_gzip(request.headers.get("accept-encoding")),
-            threshold=self.gzip_min_bytes,
+            keep_alive,
+            request_id=request.request_id,
+            accept_encoding=request.headers.get("accept-encoding"),
+            content_type=api.METRICS_CONTENT_TYPE,
         )
-        extra_headers = {"X-Request-Id": request.request_id}
-        if compressed:
-            extra_headers["Content-Encoding"] = "gzip"
-        writer.write(
-            render_response(
-                200,
-                body,
-                content_type=api.METRICS_CONTENT_TYPE,
-                keep_alive=keep_alive,
-                extra_headers=extra_headers,
-            )
-        )
-        await writer.drain()
-        return keep_alive
 
     async def _handle_slow(
         self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool
     ) -> bool:
-        loop = asyncio.get_running_loop()
-        payload = await loop.run_in_executor(
-            self._aux_executor, api.slow_payload, self.service
-        )
-        return await self._send(
-            writer, 200, payload, keep_alive,
-            request_id=request.request_id, request=request,
+        return await self._answer(
+            request, writer, keep_alive, self._run_aux(api.slow_payload, self.service)
         )
 
     async def _handle_update(
@@ -387,28 +425,20 @@ class AsyncApp:
         # executor is saturated (MVCC means it never pauses those queries),
         # so it bypasses admission and runs on the auxiliary thread — which
         # also serialises HTTP commits with stats snapshots.
-        request_id = request.request_id
         try:
             update_request = api.parse_update_request(decode_json_object(request.body))
         except (PayloadError, api.ApiError) as error:
-            return await self._send_error(writer, error, keep_alive, request_id=request_id)
-        trace = (
-            obs_trace.TraceContext(request_id)
-            if api.wants_trace(request.query_string)
-            else None
-        )
-        loop = asyncio.get_running_loop()
-        try:
-            payload = await loop.run_in_executor(
-                self._aux_executor,
-                functools.partial(
-                    api.apply_update_payload, self.service, update_request, trace=trace
-                ),
-            )
-        except Exception as error:  # noqa: BLE001 - keep the JSON contract
-            return await self._send_error(writer, error, keep_alive, request_id=request_id)
-        return await self._send(
-            writer, 200, payload, keep_alive, request_id=request_id
+            return await self._send_error(request, writer, error, keep_alive)
+        return await self._answer(
+            request,
+            writer,
+            keep_alive,
+            self._run_aux(
+                api.apply_update_payload,
+                self.service,
+                update_request,
+                trace=self._trace(request),
+            ),
         )
 
     async def _handle_prepare(
@@ -416,150 +446,117 @@ class AsyncApp:
     ) -> bool:
         # control-plane like /update: warming must land on a busy server so
         # the post-warm traffic is what benefits; runs on the auxiliary thread
-        request_id = request.request_id
         try:
             prepare_request = api.parse_prepare_request(decode_json_object(request.body))
         except (PayloadError, api.ApiError) as error:
-            return await self._send_error(writer, error, keep_alive, request_id=request_id)
-        loop = asyncio.get_running_loop()
-        try:
-            payload = await loop.run_in_executor(
-                self._aux_executor,
-                functools.partial(api.prepare_payload, self.service, prepare_request),
-            )
-        except Exception as error:  # noqa: BLE001 - keep the JSON contract
-            return await self._send_error(writer, error, keep_alive, request_id=request_id)
-        return await self._send(writer, 200, payload, keep_alive, request_id=request_id)
+            return await self._send_error(request, writer, error, keep_alive)
+        return await self._answer(
+            request,
+            writer,
+            keep_alive,
+            self._run_aux(api.prepare_payload, self.service, prepare_request),
+        )
 
     # -- jobs --------------------------------------------------------------------------
+    #
+    # Job calls run in the blocking pool: the manager's lock is held by
+    # executor workers across fsynced journal appends, and a slow fsync must
+    # stall a pool thread, never the event loop itself.
 
     async def _handle_jobs_submit(
         self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool
     ) -> bool:
         # not admission-controlled: per-client quotas are the jobs throttle,
         # and the submit itself only journals (fsync) — no engine time
-        request_id = request.request_id
         self._note_client(request, writer)
         try:
             submit_request = jobs_api.parse_job_submit(decode_json_object(request.body))
         except (PayloadError, api.ApiError) as error:
-            return await self._send_error(writer, error, keep_alive, request_id=request_id)
-        client_id = self._client_id(request, writer)
+            return await self._send_error(request, writer, error, keep_alive)
         try:
             payload = await self._run_blocking(
                 jobs_api.submit_job_payload,
                 self.service,
                 submit_request,
-                client_id=client_id,
+                client_id=self._client_id(request, writer),
             )
         except Exception as error:  # noqa: BLE001 - keep the JSON contract
             if isinstance(error, api.ApiError) and error.status == 429:
                 self._note_client(request, writer, rejected=True)
-            return await self._send_error(writer, error, keep_alive, request_id=request_id)
-        return await self._send(writer, 202, payload, keep_alive, request_id=request_id)
+            return await self._send_error(request, writer, error, keep_alive)
+        return await self._send(request, writer, 202, payload, keep_alive)
 
     async def _handle_jobs_list(
         self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool
     ) -> bool:
-        # these run in the blocking pool: the manager's lock is held by
-        # executor workers across fsynced journal appends, and a slow fsync
-        # must stall a pool thread, never the event loop itself
         self._note_client(request, writer)
-        try:
-            payload = await self._run_blocking(
+        return await self._answer(
+            request,
+            writer,
+            keep_alive,
+            self._run_blocking(
                 jobs_api.list_jobs_payload,
                 self.service,
                 client_id=self._client_id(request, writer),
-            )
-        except Exception as error:  # noqa: BLE001 - keep the JSON contract
-            return await self._send_error(
-                writer, error, keep_alive, request_id=request.request_id
-            )
-        return await self._send(
-            writer, 200, payload, keep_alive, request_id=request.request_id
+            ),
         )
 
     async def _handle_job_status(
-        self,
-        request: Request,
-        writer: asyncio.StreamWriter,
-        keep_alive: bool,
-        params: dict[str, str],
+        self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool
     ) -> bool:
-        try:
-            payload = await self._run_blocking(
+        return await self._answer(
+            request,
+            writer,
+            keep_alive,
+            self._run_blocking(
                 jobs_api.job_status_payload,
                 self.service,
-                params["id"],
+                request.params["id"],
                 client_id=self._client_id(request, writer),
-            )
-        except Exception as error:  # noqa: BLE001 - keep the JSON contract
-            return await self._send_error(
-                writer, error, keep_alive, request_id=request.request_id
-            )
-        return await self._send(
-            writer, 200, payload, keep_alive, request_id=request.request_id
+            ),
         )
 
     async def _handle_job_result(
-        self,
-        request: Request,
-        writer: asyncio.StreamWriter,
-        keep_alive: bool,
-        params: dict[str, str],
+        self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool
     ) -> bool:
-        try:
-            payload = await self._run_blocking(
+        return await self._answer(
+            request,
+            writer,
+            keep_alive,
+            self._run_blocking(
                 jobs_api.job_result_payload,
                 self.service,
-                params["id"],
+                request.params["id"],
                 client_id=self._client_id(request, writer),
-            )
-        except Exception as error:  # noqa: BLE001 - keep the JSON contract
-            return await self._send_error(
-                writer, error, keep_alive, request_id=request.request_id
-            )
-        return await self._send(
-            writer, 200, payload, keep_alive,
-            request_id=request.request_id, request=request,
+            ),
         )
 
     async def _handle_job_cancel(
-        self,
-        request: Request,
-        writer: asyncio.StreamWriter,
-        keep_alive: bool,
-        params: dict[str, str],
+        self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool
     ) -> bool:
-        try:
-            payload = await self._run_blocking(
+        return await self._answer(
+            request,
+            writer,
+            keep_alive,
+            self._run_blocking(
                 jobs_api.cancel_job_payload,
                 self.service,
-                params["id"],
+                request.params["id"],
                 client_id=self._client_id(request, writer),
-            )
-        except Exception as error:  # noqa: BLE001 - keep the JSON contract
-            return await self._send_error(
-                writer, error, keep_alive, request_id=request.request_id
-            )
-        return await self._send(
-            writer, 200, payload, keep_alive, request_id=request.request_id
+            ),
         )
 
     async def _handle_job_events(
-        self,
-        request: Request,
-        writer: asyncio.StreamWriter,
-        keep_alive: bool,
-        params: dict[str, str],
+        self, request: Request, writer: asyncio.StreamWriter, keep_alive: bool
     ) -> bool:
         """Stream a job's events as chunked NDJSON (the ``/batch`` framing).
 
         The loop polls the manager's in-memory event log — no executor
         thread is parked on a blocking wait, so a thousand open streams cost
-        the loop a timer each, not a thread each.
+        the loop a timer each, not a thread each.  Errors before the first
+        event (unknown job, jobs disabled) answer a plain JSON envelope.
         """
-        job_id = params["id"]
+        job_id = request.params["id"]
         timeout = 30.0
         for part in request.query_string.split("&"):
             key, _, value = part.partition("=")
@@ -572,10 +569,10 @@ class AsyncApp:
                 jobs_api.job_events, self.service, job_id, 0, client_id=client_id
             )
         except Exception as error:  # noqa: BLE001 - keep the JSON contract
-            return await self._send_error(
-                writer, error, keep_alive, request_id=request.request_id
-            )
-        stream = ChunkedJsonWriter(writer, keep_alive=keep_alive)
+            return await self._send_error(request, writer, error, keep_alive)
+        stream = ChunkedJsonWriter(
+            writer, request_id=request.request_id, keep_alive=keep_alive
+        )
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
         cursor = 0
@@ -598,15 +595,7 @@ class AsyncApp:
                     )
                 except api.ApiError:
                     break  # the job aged out mid-stream: finish cleanly
-            await stream.send(
-                {
-                    "done": True,
-                    "job_id": job_id,
-                    "terminal": jobs_api._terminal_state(
-                        jobs_api.manager_for(self.service), job_id
-                    ),
-                }
-            )
+            await stream.send(jobs_api.events_done_line(self.service, job_id))
             await stream.finish()
         except (ConnectionError, asyncio.TimeoutError):
             return False
@@ -618,56 +607,49 @@ class AsyncApp:
         # a /query is always one admission unit, so the overload answer needs
         # no look at the body: admit first, decode only if admitted (an
         # overloaded server must not pay a JSON parse per rejected request)
-        request_id = request.request_id
         try:
             self.admission.try_admit(1, endpoint="query")
         except AdmissionRejected as rejected:
             self._note_client(request, writer, rejected=True)
             return await self._send(
+                request,
                 writer,
                 429,
                 _rejection_body(rejected),
                 keep_alive,
                 extra_headers=_retry_after_headers(rejected),
-                request_id=request_id,
             )
         try:
             query_request = api.parse_query_request(decode_json_object(request.body))
         except (PayloadError, api.ApiError) as error:
             self.admission.cancel_reservation(1)
-            return await self._send_error(writer, error, keep_alive, request_id=request_id)
+            return await self._send_error(request, writer, error, keep_alive)
         # the deadline clock starts before the admission queue wait: time
         # spent queued is time the client is already paying for
         deadline = api.RequestDeadline.of(query_request)
-        trace = (
-            obs_trace.TraceContext(request_id)
-            if api.wants_trace(request.query_string)
-            else None
-        )
+        trace = self._trace(request)
         if trace is not None:
-            # queue wait is the async door's own contribution to latency;
+            # queue wait is the front door's own contribution to latency;
             # record it as a span before the unit enters execution
             with obs_trace.activate(trace), obs_trace.span("admission.queue"):
                 await self.admission.acquire_slot()
         else:
             await self.admission.acquire_slot()
         # the unit is released only after the response bytes are written:
-        # "finish in-flight" at drain time includes delivering the answer
+        # "finish in-flight" at drain time includes delivering the answer;
+        # envelope_for maps query errors to 400, the rest to 500
         try:
-            try:
-                payload = await self._run_blocking(
+            return await self._answer(
+                request,
+                writer,
+                keep_alive,
+                self._run_blocking(
                     api.execute_query_payload,
                     self.service,
                     query_request,
                     trace=trace,
                     deadline=deadline,
-                )
-            except Exception as error:  # noqa: BLE001 - keep the JSON contract
-                # envelope_for maps query errors to 400, the rest to 500
-                return await self._send_error(writer, error, keep_alive, request_id=request_id)
-            return await self._send(
-                writer, 200, payload, keep_alive,
-                request_id=request_id, request=request,
+                ),
             )
         finally:
             self.admission.release_slot()
@@ -678,17 +660,18 @@ class AsyncApp:
         try:
             batch_request = api.parse_batch_request(decode_json_object(request.body))
         except (PayloadError, api.ApiError) as error:
-            return await self._send_error(writer, error, keep_alive)
+            return await self._send_error(request, writer, error, keep_alive)
         deadline = api.RequestDeadline.of(batch_request)
         texts = list(batch_request.queries)
         if not texts:
             return await self._send(
-                writer, 200, {"results": [], "n_queries": 0}, keep_alive
+                request, writer, 200, {"results": [], "n_queries": 0}, keep_alive
             )
         if len(texts) > self.admission.capacity:
             # no amount of retrying can fit this batch: a 429 would lie, so
             # answer 413 and tell the client to split
             return await self._send(
+                request,
                 writer,
                 413,
                 ErrorEnvelope(
@@ -705,6 +688,7 @@ class AsyncApp:
         except AdmissionRejected as rejected:
             self._note_client(request, writer, rejected=True)
             return await self._send(
+                request,
                 writer,
                 429,
                 _rejection_body(rejected),
@@ -712,7 +696,9 @@ class AsyncApp:
                 extra_headers=_retry_after_headers(rejected),
             )
 
-        stream = ChunkedJsonWriter(writer, keep_alive=keep_alive)
+        stream = ChunkedJsonWriter(
+            writer, request_id=request.request_id, keep_alive=keep_alive
+        )
         send_lock = asyncio.Lock()
         dead = False  # flipped when the client vanishes mid-stream
 

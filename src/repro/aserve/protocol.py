@@ -15,10 +15,11 @@ Deliberately the small subset of RFC 9112 the service needs, stdlib only:
 * keep-alive follows the version defaults (HTTP/1.1 persistent unless
   ``Connection: close``; HTTP/1.0 only with ``Connection: keep-alive``).
 
-Malformed input raises :class:`HttpProtocolError`, which carries both the
-status to answer with and whether the connection can survive the error
-(a truncated body cannot; an oversized-but-unread one can not either, since
-the unread bytes would be parsed as the next request line).
+Malformed input raises :class:`HttpProtocolError`, which carries the status
+to answer with, whether the connection can survive the error (a truncated
+body cannot; an oversized-but-unread one can not either, since the unread
+bytes would be parsed as the next request line), and the client's
+``X-Request-Id`` when the headers parsed before the failure.
 """
 
 from __future__ import annotations
@@ -64,13 +65,15 @@ class HttpProtocolError(Exception):
 
     ``close=True`` means the connection's framing is no longer trustworthy
     (unread body bytes, truncated input) and it must be closed after the
-    error response.
+    error response.  ``request_id`` is the client's ``X-Request-Id`` when the
+    failure came after the headers parsed, else empty.
     """
 
     def __init__(self, status: int, message: str, *, close: bool = True) -> None:
         super().__init__(message)
         self.status = status
         self.close = close
+        self.request_id = ""
 
 
 @dataclass
@@ -82,6 +85,8 @@ class Request:
     version: str
     headers: dict[str, str] = field(default_factory=dict)
     body: bytes = b""
+    #: ``{param}`` bindings of the matched route (``/v1/jobs/{id}``)
+    params: dict[str, str] = field(default_factory=dict)
 
     @property
     def path(self) -> str:
@@ -139,6 +144,24 @@ async def read_request(
             raise HttpProtocolError(400, f"malformed header line {line!r}")
         headers[name.strip().lower()] = value.strip()
 
+    request_id = headers.get("x-request-id")
+    if request_id is not None and not (request_id.isprintable() and len(request_id) <= 128):
+        # the id is echoed into response headers: never echo a bare CR or
+        # other control characters back (the server mints one instead)
+        del headers["x-request-id"]
+    try:
+        body = await _read_body(reader, headers, max_body_bytes)
+    except HttpProtocolError as error:
+        # the headers parsed, so the error answer can echo the client's id
+        error.request_id = headers.get("x-request-id", "")
+        raise
+    return Request(method=method, target=target, version=version, headers=headers, body=body)
+
+
+async def _read_body(
+    reader: asyncio.StreamReader, headers: dict[str, str], max_body_bytes: int
+) -> bytes:
+    """Read and decode a ``Content-Length`` body under the size limit."""
     if "transfer-encoding" in headers:
         raise HttpProtocolError(501, "chunked request bodies are not supported")
 
@@ -153,10 +176,9 @@ async def read_request(
             raise HttpProtocolError(400, f"invalid Content-Length {raw_length!r}")
         if length:
             # the limit policy (413 text and threshold semantics) is the
-            # threaded server's helper, so the two front doors cannot drift;
-            # the body is deliberately left unread on rejection — the 413
-            # goes out immediately and the connection closes rather than
-            # paying for the oversized read
+            # shared endpoint-table helper; the body is deliberately left
+            # unread on rejection — the 413 goes out immediately and the
+            # connection closes rather than paying for the oversized read
             try:
                 check_body_length(length, max_bytes=max_body_bytes)
             except PayloadError as error:
@@ -174,7 +196,7 @@ async def read_request(
             )
         except PayloadError as error:
             raise HttpProtocolError(error.status, str(error), close=False) from None
-    return Request(method=method, target=target, version=version, headers=headers, body=body)
+    return body
 
 
 def render_response(
@@ -217,18 +239,21 @@ class ChunkedJsonWriter:
     ``Transfer-Encoding: chunked`` framing keeps the connection reusable
     after a stream whose length is unknown up front, which is exactly the
     ``/batch`` situation: results leave in order of *completion*, so the
-    response is open until the slowest query finishes.
+    response is open until the slowest query finishes.  The head always
+    carries the request's ``X-Request-Id``.
     """
 
     def __init__(
         self,
         writer: asyncio.StreamWriter,
         *,
+        request_id: str,
         status: int = 200,
         content_type: str = "application/x-ndjson",
         keep_alive: bool = True,
     ) -> None:
         self._writer = writer
+        self._request_id = request_id
         self._status = status
         self._content_type = content_type
         self._keep_alive = keep_alive
@@ -240,6 +265,7 @@ class ChunkedJsonWriter:
             f"Content-Type: {self._content_type}\r\n"
             "Transfer-Encoding: chunked\r\n"
             f"Connection: {'keep-alive' if self._keep_alive else 'close'}\r\n"
+            f"X-Request-Id: {self._request_id}\r\n"
             "\r\n"
         )
         self._writer.write(head.encode("latin-1"))

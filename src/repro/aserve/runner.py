@@ -1,4 +1,4 @@
-"""Lifecycle owner for the asyncio serving front-end.
+"""Lifecycle owner for the HTTP front door.
 
 :class:`AsyncServingRunner` ties the pieces together and owns the sequence
 **warm → bind → serve → drain → close**:
@@ -17,9 +17,9 @@
    (:meth:`AdmissionController.wait_idle`), then shut the executor down and
    release the shard pool with ``HypeRService.close()``.
 
-``run_async_server`` is the blocking entry point behind ``repro serve
---async``; :class:`BackgroundAsyncServer` runs the same lifecycle on a
-dedicated thread + event loop for tests and benchmarks.
+``run_async_server`` is the blocking entry point behind ``repro serve``;
+:class:`BackgroundAsyncServer` runs the same lifecycle on a dedicated
+thread + event loop for tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
+from ..api.endpoints import ENDPOINTS_SUMMARY, MAX_BODY_BYTES
 from ..service.executor import default_max_workers
-from ..api.endpoints import MAX_BODY_BYTES
 from ..service.session import HypeRService
 from .admission import AdmissionController
 from .app import AsyncApp
@@ -40,7 +40,7 @@ __all__ = ["AsyncServingRunner", "BackgroundAsyncServer", "run_async_server"]
 
 
 class AsyncServingRunner:
-    """Builds and drives the async front-end for one :class:`HypeRService`."""
+    """Builds and drives the front door for one :class:`HypeRService`."""
 
     def __init__(
         self,
@@ -111,12 +111,8 @@ class AsyncServingRunner:
             raise
         if self.verbose:
             host, port = self.address
-            print(f"HypeR async service listening on http://{host}:{port}", flush=True)
-            print(
-                "endpoints: GET /health, GET /stats, POST /query, "
-                "POST /batch (streams NDJSON)",
-                flush=True,
-            )
+            print(f"HypeR service listening on http://{host}:{port}", flush=True)
+            print(f"endpoints: {ENDPOINTS_SUMMARY}", flush=True)
             print(
                 f"admission: max_inflight={self.max_inflight} "
                 f"queue_depth={self.queue_depth} (excess load -> 429)",
@@ -210,7 +206,7 @@ def run_async_server(
     warm_queries: Sequence[str] = (),
     app_factory: Callable[..., AsyncApp] = AsyncApp,
 ) -> None:
-    """Blocking entry point behind ``repro serve --async``."""
+    """Blocking entry point behind ``repro serve``."""
     runner = AsyncServingRunner(
         service,
         host,
@@ -229,7 +225,7 @@ def run_async_server(
 
 
 class BackgroundAsyncServer:
-    """The async front-end on a dedicated thread + loop (tests, benchmarks).
+    """The front door on a dedicated thread + loop (tests, benchmarks).
 
     Usage::
 

@@ -109,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve",
-        help="serve queries over HTTP (GET /health, GET /stats, POST /query, POST /batch)",
+        help="serve the /v1 HTTP API (query, batch, update, prepare, jobs, "
+        "health, stats, metrics, slow) with admission control",
     )
     serve.add_argument("--dataset", required=True, choices=available_datasets())
     serve.add_argument("--rows", type=int, default=1_000, help="rows to generate")
@@ -131,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="relational execution backend (default: columnar, or $REPRO_BACKEND)",
     )
     serve.add_argument(
-        "--workers", type=int, default=None, help="worker count for POST /batch"
+        "--workers", type=int, default=None, help="worker count for POST /v1/batch"
     )
     serve.add_argument(
         "--execution",
@@ -147,41 +148,39 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of shards/worker processes with --execution processes "
         "(default: --workers, else CPU count capped at 8)",
     )
+    # accepted for compatibility and ignored: the asyncio front door is the
+    # only server, and existing scripts still pass this flag
     serve.add_argument(
-        "--async",
-        dest="async_server",
-        action="store_true",
-        help="serve through the asyncio front-end with admission control "
-        "(keep-alive, bounded queueing, 429 on overload, streaming /batch)",
+        "--async", dest="async_server", action="store_true", help=argparse.SUPPRESS
     )
     serve.add_argument(
         "--max-inflight",
         type=int,
         default=None,
-        help="async front-end: concurrent query executions admitted "
+        help="concurrent query executions admitted "
         "(default: --workers, else CPU count capped at 8)",
     )
     serve.add_argument(
         "--queue-depth",
         type=int,
         default=None,
-        help="async front-end: bounded admission queue beyond --max-inflight; "
-        "excess requests get 429 + Retry-After (default: 2x max-inflight)",
+        help="bounded admission queue beyond --max-inflight; excess requests "
+        "get 429 + Retry-After (default: 2x max-inflight)",
     )
     serve.add_argument(
         "--drain-timeout",
         type=float,
         default=30.0,
-        help="async front-end: seconds to wait for in-flight requests on "
-        "SIGTERM/SIGINT before giving up",
+        help="seconds to wait for in-flight requests on SIGTERM/SIGINT "
+        "before giving up",
     )
     serve.add_argument(
         "--warm-query",
         action="append",
         default=None,
         metavar="TEXT",
-        help="async front-end: query text to prepare() at startup so the "
-        "first request hits warm caches (repeatable)",
+        help="query text to prepare() at startup so the first request hits "
+        "warm caches (repeatable)",
     )
     serve.add_argument(
         "--jobs-dir",
@@ -522,7 +521,8 @@ def _dispatch(argv: Sequence[str] | None = None) -> int:
         if args.command == "serve":
             if args.role != "single":
                 return _serve_cluster(args)
-            from .service import HypeRService, serve as run_server
+            from .aserve import run_async_server
+            from .service import HypeRService
 
             dataset = make_dataset(args.dataset, **_generator_kwargs(args))
             config = EngineConfig(
@@ -543,38 +543,25 @@ def _dispatch(argv: Sequence[str] | None = None) -> int:
                 f"serving dataset {args.dataset!r} ({dataset.database.total_rows} rows)",
                 flush=True,
             )
-            if args.async_server:
-                from .aserve import run_async_server
-
-                if args.jobs_dir:
-                    _attach_jobs(service, args)
-                # warm-up (start_pool + prepare) happens inside the runner,
-                # before any executor thread exists
-                try:
-                    run_async_server(
-                        service,
-                        host=args.host,
-                        port=args.port,
-                        max_inflight=args.max_inflight,
-                        queue_depth=args.queue_depth,
-                        drain_timeout=args.drain_timeout,
-                        warm_queries=args.warm_query or (),
-                    )
-                finally:
-                    service.close()  # idempotent; covers startup failures
-                return 0
-            if args.execution == "processes":
-                # start workers before the threading HTTP server exists so
-                # the pool can fork from a single-threaded parent (job
-                # executor threads start after, for the same reason)
-                service.start_pool()
-                print(f"execution: {service.n_shards} shard worker processes", flush=True)
-            if args.jobs_dir:
-                _attach_jobs(service, args)
             try:
-                run_server(service, host=args.host, port=args.port)
+                if args.jobs_dir:
+                    # fork shard workers before the job executor threads
+                    # exist (start_pool is a no-op in threads mode)
+                    service.start_pool()
+                    _attach_jobs(service, args)
+                # the rest of the warm-up (start_pool + prepare) happens
+                # inside the runner, before any request executor thread exists
+                run_async_server(
+                    service,
+                    host=args.host,
+                    port=args.port,
+                    max_inflight=args.max_inflight,
+                    queue_depth=args.queue_depth,
+                    drain_timeout=args.drain_timeout,
+                    warm_queries=args.warm_query or (),
+                )
             finally:
-                service.close()
+                service.close()  # idempotent; covers startup failures
             return 0
         # query
         session = _load_session(args)

@@ -2,10 +2,9 @@
 
 :class:`ClusterCoordinator` duck-types :class:`~repro.service.session.HypeRService`
 — ``execute`` / ``execute_many`` / ``update_relation_columns`` / ``stats`` /
-``serving_signals`` / ``generation`` / ``metrics`` / ``slow_log`` — so both
-existing HTTP front doors (:mod:`repro.service.server`,
-:mod:`repro.aserve`) mount it unchanged and the public v1 API is identical
-to a single-node deployment.
+``serving_signals`` / ``generation`` / ``metrics`` / ``slow_log`` — so the
+HTTP front door (:mod:`repro.aserve`) mounts it unchanged and the public v1
+API is identical to a single-node deployment.
 
 Per query it scatters one ``POST /v1/partial`` to a replica of every shard
 (concurrently, on a private event loop thread), decodes the bit-exact wire

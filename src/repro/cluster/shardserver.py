@@ -30,7 +30,6 @@ exact answers for its pinned generation from nodes that already flipped.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from typing import Any
 
@@ -312,52 +311,45 @@ class ShardServerApp(AsyncApp):
         super().__init__(service, admission, **kwargs)
         self.shard_server = shard_server
 
-    async def _dispatch(self, request, writer, keep_alive: bool) -> bool:
+    def _route(self, request):
         if request.method == "POST" and request.path == PARTIAL_PATH:
-            request.headers.setdefault("x-request-id", obs_trace.new_request_id())
-            return await self._handle_partial(request, writer, keep_alive)
+            return self._handle_partial
         if request.method == "POST" and request.path == CLUSTER_UPDATE_PATH:
-            request.headers.setdefault("x-request-id", obs_trace.new_request_id())
-            return await self._handle_cluster_update(request, writer, keep_alive)
-        return await super()._dispatch(request, writer, keep_alive)
+            return self._handle_cluster_update
+        return super()._route(request)
 
     async def _handle_partial(self, request, writer, keep_alive: bool) -> bool:
         # data plane: admission-controlled exactly like /v1/query (a scatter
         # leg competes with local public queries for the same executor)
-        request_id = request.request_id
         try:
             self.admission.try_admit(1, endpoint="partial")
         except AdmissionRejected as rejected:
             return await self._send(
+                request,
                 writer,
                 429,
                 _rejection_body(rejected),
                 keep_alive,
                 extra_headers=_retry_after_headers(rejected),
-                request_id=request_id,
             )
         try:
             body = decode_json_object(request.body)
         except PayloadError as error:
             self.admission.cancel_reservation(1)
-            return await self._send_error(writer, error, keep_alive, request_id=request_id)
+            return await self._send_error(request, writer, error, keep_alive)
         deadline_ms = body.get("deadline_ms")
         deadline = (
             api.RequestDeadline(int(deadline_ms)) if deadline_ms is not None else None
         )
         await self.admission.acquire_slot()
         try:
-            try:
-                payload = await self._run_blocking(
+            return await self._answer(
+                request,
+                writer,
+                keep_alive,
+                self._run_blocking(
                     self.shard_server.partial_payload, body, deadline=deadline
-                )
-            except Exception as error:  # noqa: BLE001 - keep the JSON contract
-                return await self._send_error(
-                    writer, error, keep_alive, request_id=request_id
-                )
-            return await self._send(
-                writer, 200, payload, keep_alive,
-                request_id=request_id, request=request,
+                ),
             )
         finally:
             self.admission.release_slot()
@@ -365,18 +357,13 @@ class ShardServerApp(AsyncApp):
     async def _handle_cluster_update(self, request, writer, keep_alive: bool) -> bool:
         # control plane like /v1/update: a commit must land on a saturated
         # node, so it bypasses admission and runs on the auxiliary thread
-        request_id = request.request_id
         try:
             body = decode_json_object(request.body)
         except PayloadError as error:
-            return await self._send_error(writer, error, keep_alive, request_id=request_id)
-        loop = asyncio.get_running_loop()
-        try:
-            payload = await loop.run_in_executor(
-                self._aux_executor, self.shard_server.cluster_update_payload, body
-            )
-        except Exception as error:  # noqa: BLE001 - keep the JSON contract
-            return await self._send_error(writer, error, keep_alive, request_id=request_id)
-        return await self._send(
-            writer, 200, payload, keep_alive, request_id=request_id
+            return await self._send_error(request, writer, error, keep_alive)
+        return await self._answer(
+            request,
+            writer,
+            keep_alive,
+            self._run_aux(self.shard_server.cluster_update_payload, body),
         )

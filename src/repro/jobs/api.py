@@ -1,10 +1,9 @@
 """Front-door glue for the ``/v1/jobs`` surface.
 
-Both HTTP servers (the threaded :mod:`repro.service.server` door and the
-asyncio :mod:`repro.aserve` door) route job endpoints through these
-helpers, so submit/status/result/cancel answer byte-identically on either.
-Every helper raises :class:`~repro.api.endpoints.ApiError` for protocol
-failures; the front doors already map those to envelopes.
+The HTTP front door (:mod:`repro.aserve`) routes every job endpoint
+through these helpers.  Every helper raises
+:class:`~repro.api.endpoints.ApiError` for protocol failures; the front
+door maps those to envelopes.
 
 The manager is discovered on ``service.jobs`` — a service started without
 ``--jobs-dir`` answers 503 ``unavailable`` on the whole surface rather
@@ -16,15 +15,15 @@ to that id: status/result/events/cancel from any other client id answer
 404 ``not_found``, indistinguishable from an unknown id, exactly like
 ``GET /v1/jobs`` listing.  Jobs submitted *without* the header get a
 per-connection ``anon-…`` owner; those stay **capability-based** — the
-random job id is the credential — because the threaded door mints a fresh
-anonymous id per connection, so an anonymous submitter could otherwise
-never poll its own job.  Ids beginning with ``anon`` are reserved for
+random job id is the credential — because the front door mints a fresh
+anonymous id per connection, so an anonymous submitter that reconnects
+could otherwise never poll its own job.  Ids beginning with ``anon`` are reserved for
 that fallback.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any
 
 from ..api.endpoints import ApiError
 from ..api.schemas import (
@@ -46,7 +45,7 @@ __all__ = [
     "cancel_job_payload",
     "list_jobs_payload",
     "job_events",
-    "iter_job_events",
+    "events_done_line",
 ]
 
 
@@ -221,7 +220,7 @@ def list_jobs_payload(service: Any, *, client_id: str | None) -> dict[str, Any]:
 def job_events(
     service: Any, job_id: str, cursor: int = 0, *, client_id: str | None = None
 ) -> tuple[list[dict[str, Any]], bool]:
-    """One non-blocking poll of a job's event log (the async door's unit)."""
+    """One non-blocking poll of a job's event log (the stream's unit)."""
     manager = manager_for(service)
     _get_job(manager, job_id, client_id)
     try:
@@ -232,49 +231,15 @@ def job_events(
         ) from None
 
 
-def iter_job_events(
-    service: Any,
-    job_id: str,
-    *,
-    client_id: str | None = None,
-    timeout: float = 30.0,
-    poll_seconds: float = 0.5,
-) -> Iterator[dict[str, Any]]:
-    """Blocking NDJSON event iterator for the threaded door.
+def events_done_line(service: Any, job_id: str) -> dict[str, Any]:
+    """The closing line of a job's event stream.
 
-    Yields every event from the start of the job's log, blocking for new
-    ones until the job is terminal or ``timeout`` elapses without news; the
-    stream always finishes with a ``{"done": true, "terminal": <state>}``
-    line (``terminal`` is ``null`` when the stream timed out first).
+    ``terminal`` names the job's final state, or is ``null`` when the stream
+    timed out (or the job aged out) before the job finished.
     """
-    import time as _time
-
-    manager = manager_for(service)
-    _get_job(manager, job_id, client_id)
-    cursor = 0
-    deadline = _time.monotonic() + timeout
-    terminal = False
-    while True:
-        try:
-            events, terminal = manager.wait_events(
-                job_id, cursor, timeout=poll_seconds
-            )
-        except JobNotFound:
-            break  # aged out mid-stream: finish the stream cleanly
-        for event in events:
-            yield event
-        cursor += len(events)
-        if terminal:
-            break
-        if _time.monotonic() >= deadline:
-            break
-    yield {"done": True, "job_id": job_id, "terminal": _terminal_state(manager, job_id)}
-
-
-def _terminal_state(manager: Any, job_id: str) -> str | None:
-    """The job's terminal state name for a stream's ``done`` line, if any."""
     try:
-        job = manager.get(job_id)
+        job = manager_for(service).get(job_id)
     except JobNotFound:
-        return None
-    return job.state if job.terminal else None
+        job = None
+    terminal = job.state if job is not None and job.terminal else None
+    return {"done": True, "job_id": job_id, "terminal": terminal}

@@ -1,4 +1,4 @@
-"""The HypeR query service layer: fingerprints, caches, batch execution, HTTP.
+"""The HypeR query service layer: fingerprints, caches, batch execution.
 
 This package turns the per-query engines of :mod:`repro.core` into a servable
 system (the ROADMAP's production north star):
@@ -11,12 +11,9 @@ system (the ROADMAP's production north star):
 * :mod:`~repro.service.executor` — fingerprint-grouped concurrent batch
   execution on a thread pool;
 * :mod:`~repro.service.session` — the :class:`HypeRService` facade
-  (``prepare`` / ``execute`` / ``execute_many`` / ``stats``);
-* :mod:`~repro.service.server` — a stdlib HTTP JSON endpoint
-  (``repro serve``) with graceful SIGTERM/SIGINT drain and the shared
-  payload/limit helpers (:class:`PayloadError`, :func:`check_body_length`,
-  :func:`decode_json_object`) the asyncio front-end (:mod:`repro.aserve`,
-  ``repro serve --async``) reuses.
+  (``prepare`` / ``execute`` / ``execute_many`` / ``stats``).
+
+The HTTP front door over a service is :mod:`repro.aserve` (``repro serve``).
 
 See ``docs/service.md`` for the architecture and invalidation rules.
 """
@@ -34,14 +31,6 @@ from .fingerprint import (
     use_key,
     use_relations,
 )
-from .server import (
-    MAX_BODY_BYTES,
-    PayloadError,
-    check_body_length,
-    decode_json_object,
-    make_server,
-    serve,
-)
 from .session import HypeRService, PreparedPlan
 
 __all__ = [
@@ -49,22 +38,16 @@ __all__ = [
     "CacheStats",
     "HypeRService",
     "LRUCache",
-    "MAX_BODY_BYTES",
-    "PayloadError",
     "PlanFingerprint",
     "PreparedPlan",
     "QueryCaches",
     "TTLCache",
-    "check_body_length",
-    "decode_json_object",
     "config_key",
     "dag_key",
     "default_max_workers",
     "fingerprint_how_to",
     "fingerprint_query",
     "fingerprint_what_if",
-    "make_server",
-    "serve",
     "update_key",
     "use_key",
     "use_relations",

@@ -311,7 +311,7 @@ class HypeRService:
         #: bounded per-plan-fingerprint slow-query log, served by GET /v1/slow
         self.slow_log = SlowQueryLog(slow_log_size, slow_query_seconds)
         #: attached durable job manager (see repro.jobs.attach_jobs); None
-        #: means the job surface answers 503 on both front doors
+        #: means the job surface answers 503
         self.jobs: Any = None
         # Per-client request/rejection counters (X-Client-Id or anonymous
         # per-connection ids).  Bounded: past _MAX_TRACKED_CLIENTS distinct

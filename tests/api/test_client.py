@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
 import time
@@ -19,10 +20,10 @@ from repro.api import (
     set_,
     what_if,
 )
-from repro.api.client import ApiStatusError
+from repro.api.aclient import AsyncHypeRClient
+from repro.api.client import ApiStatusError, TransportError
 from repro.aserve import BackgroundAsyncServer
 from repro.datasets import make_german_syn
-from repro.service import make_server
 
 QUERY_TEXT = (
     "USE Credit UPDATE(Status) = 4 OUTPUT COUNT(POST(Credit)) FOR POST(Credit) = 1"
@@ -49,20 +50,10 @@ def async_address(dataset):
         yield s.address
 
 
-@pytest.fixture(scope="module")
-def threaded_address(dataset):
-    server = make_server(_service(dataset), host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server.server_address[:2]
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-
-
-@pytest.fixture(params=["async", "threaded"])
-def address(request, async_address, threaded_address):
-    return async_address if request.param == "async" else threaded_address
+# a single param: test ids keep their ``[async]`` suffix across the suite
+@pytest.fixture(params=["async"])
+def address(async_address):
+    return async_address
 
 
 class TestQueries:
@@ -88,8 +79,7 @@ class TestQueries:
         assert excinfo.value.code == "query_syntax"
 
     def test_keep_alive_and_reconnect_across_many_calls(self, address):
-        # the threaded front door closes every connection (HTTP/1.0); the
-        # async one keeps it open — both must survive a burst of calls
+        # one keep-alive connection must survive a burst of calls
         with HypeRClient(*address) as client:
             values = {client.query(QUERY_TEXT).value for _ in range(5)}
             assert len(values) == 1
@@ -128,8 +118,31 @@ class TestBatch:
             assert client.query(QUERY_TEXT).value == seen[0].result.value
 
 
+#: a chunked NDJSON event stream that ends without its ``done`` line
+TRUNCATED_EVENTS = (
+    b"HTTP/1.1 200 OK\r\n"
+    b"Content-Type: application/x-ndjson\r\n"
+    b"Transfer-Encoding: chunked\r\n"
+    b"Connection: close\r\n"
+    b"\r\n"
+    + b"".join(
+        f"{len(line):x}\r\n".encode() + line + b"\r\n"
+        for line in (b'{"event": "queued"}\n', b'{"event": "running"}\n')
+    )
+    + b"0\r\n\r\n"
+)
+
+
 class _ScriptedHandler(BaseHTTPRequestHandler):
-    """Answers from the server's scripted (status, headers, body) list."""
+    """Answers from the server's scripted (status, headers, body) list.
+
+    Every GET answers :data:`TRUNCATED_EVENTS`, written raw because the
+    handler itself speaks HTTP/1.0, which has no chunked framing.
+    """
+
+    def do_GET(self):  # noqa: N802
+        self.server.hits += 1  # type: ignore[attr-defined]
+        self.wfile.write(TRUNCATED_EVENTS)
 
     def do_POST(self):  # noqa: N802
         length = int(self.headers.get("Content-Length", 0))
@@ -244,3 +257,27 @@ class TestRetriesAndDeadlines:
         client = HypeRClient(*scripted_server.server_address)
         with pytest.raises(DeadlineExceeded):
             client.query("q", deadline=-1.0)
+
+
+class TestEventStreams:
+    def test_stream_without_done_line_raises(self, scripted_server):
+        client = HypeRClient(*scripted_server.server_address, max_retries=0)
+        seen = []
+        with pytest.raises(TransportError, match="ended early"):
+            for event in client.job_events("job-1"):
+                seen.append(event)
+        assert [event["event"] for event in seen] == ["queued", "running"]
+
+    def test_async_stream_without_done_line_raises(self, scripted_server):
+        async def consume() -> list:
+            seen = []
+            async with AsyncHypeRClient(
+                *scripted_server.server_address, max_retries=0
+            ) as client:
+                with pytest.raises(TransportError, match="ended early"):
+                    async for event in client.job_events("job-1"):
+                        seen.append(event)
+            return seen
+
+        seen = asyncio.run(consume())
+        assert [event["event"] for event in seen] == ["queued", "running"]

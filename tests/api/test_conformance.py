@@ -1,19 +1,17 @@
-"""The shared /v1 conformance suite, run against BOTH HTTP front doors.
+"""The /v1 conformance suite, run against the HTTP front door.
 
-One parametrized fixture spins up the threaded ``ThreadingHTTPServer`` front
-door and the asyncio ``aserve`` front door over services built from the same
-dataset and configuration; every test below runs against each.  This is the
-executable form of the contract in :mod:`repro.api.endpoints`: canonical
-``/v1/*`` paths, legacy aliases answering byte-identically, typed answers
-that validate against the strict v1 schemas, and the shared error envelope
-for 400/404/413.
+A module-scoped :class:`~repro.aserve.BackgroundAsyncServer` serves a
+service built from a fixed dataset and configuration; every test below runs
+against it.  This is the executable form of the contract in
+:mod:`repro.api.endpoints`: canonical ``/v1/*`` paths, legacy aliases
+answering byte-identically, typed answers that validate against the strict
+v1 schemas, and the shared error envelope for 400/404/413/500.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import threading
 
 import pytest
 
@@ -31,7 +29,6 @@ from repro.api.schemas import (
 )
 from repro.aserve import BackgroundAsyncServer
 from repro.datasets import make_german_syn
-from repro.service import make_server
 
 QUERY_TEXT = (
     "USE Credit UPDATE(Status) = 4 OUTPUT COUNT(POST(Credit)) FOR POST(Credit) = 1"
@@ -41,6 +38,37 @@ HOWTO_TEXT = (
     "LIMIT L1(PRE(CreditAmount), POST(CreditAmount)) <= 500 "
     "TOMAXIMIZE AVG(POST(Credit))"
 )
+
+#: (body, expected envelope code) — every one must answer 400, never 500
+BAD_QUERY_BODIES = [
+    pytest.param(
+        json.dumps({"query": "SELECT nonsense"}).encode(), "query_syntax", id="syntax-error"
+    ),
+    pytest.param(
+        json.dumps(
+            {"query": "USE Credit UPDATE(Nope) = 1 OUTPUT AVG(POST(Credit))"}
+        ).encode(),
+        "query_semantics",
+        id="semantics-error",
+    ),
+    pytest.param(json.dumps({"nope": 1}).encode(), "bad_request", id="missing-query-field"),
+    pytest.param(json.dumps({"query": 7}).encode(), "bad_request", id="wrong-query-type"),
+    pytest.param(
+        json.dumps({"query": "q", "extra": 1}).encode(), "bad_request", id="unknown-field"
+    ),
+    pytest.param(
+        json.dumps({"query": "q", "api_version": "v9"}).encode(),
+        "bad_request",
+        id="wrong-version",
+    ),
+    pytest.param(b"{not json", "bad_request", id="malformed-json"),
+    pytest.param(json.dumps(["a list"]).encode(), "bad_request", id="non-object-body"),
+]
+BAD_BATCH_BODIES = [
+    pytest.param(json.dumps({"queries": ["a", 1]}).encode(), id="non-string-entry"),
+    pytest.param(json.dumps({"q": []}).encode(), id="missing-queries"),
+    pytest.param(json.dumps([{"queries": []}]).encode(), id="non-object-body"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -55,28 +83,22 @@ def _make_service(dataset):
 
 
 @pytest.fixture(scope="module")
-def threaded_server(dataset):
-    service = _make_service(dataset)
-    server = make_server(service, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield host, port
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-
-
-@pytest.fixture(scope="module")
 def async_server(dataset):
     service = _make_service(dataset)
     with BackgroundAsyncServer(service, max_inflight=4, queue_depth=16) as server:
-        yield server.address
+        yield server
 
 
-@pytest.fixture(scope="module", params=["threaded", "async"])
-def front_door(request, threaded_server, async_server):
-    return threaded_server if request.param == "threaded" else async_server
+# a single param: test ids keep their ``[async]`` suffix across the suite
+@pytest.fixture(scope="module", params=["async"])
+def front_door(async_server):
+    return async_server.address
+
+
+@pytest.fixture(scope="module")
+def served_service(async_server):
+    """The service behind :func:`front_door` (for fault injection)."""
+    return async_server.runner.service
 
 
 def send(
@@ -114,12 +136,15 @@ class TestHealthAndStats:
         _, alias = send(front_door, "GET", "/health")
         assert alias == canonical
 
-    def test_v1_stats_parses_as_snapshot(self, front_door):
+    def test_v1_stats_parses_as_snapshot(self, front_door, served_service):
+        _, before = send(front_door, "GET", "/v1/stats")
         send(front_door, "POST", "/v1/query", {"query": QUERY_TEXT})
         status, body = send(front_door, "GET", "/v1/stats")
         assert status == 200
         snapshot = StatsSnapshot.from_json(body)
-        assert snapshot.n_queries >= 1
+        # the counters move with the traffic the door just served
+        assert snapshot.n_queries == before["n_queries"] + 1
+        assert snapshot.generation == served_service.generation
         assert "estimators" in snapshot.caches
 
 
@@ -188,11 +213,31 @@ class TestErrorEnvelopes:
         assert status == 404
         assert body["code"] == "not_found"
 
+    @pytest.mark.parametrize("raw, code", BAD_QUERY_BODIES)
+    @pytest.mark.parametrize("path", ["/v1/query", "/query"])
+    def test_bad_query_body_is_400_envelope(self, front_door, path, raw, code):
+        status, body = send(front_door, "POST", path, raw_body=raw)
+        assert status == 400
+        assert body["code"] == code
+        assert isinstance(body["error"], str) and body["error"]
+
+    def test_unexpected_engine_error_is_500_envelope(
+        self, front_door, served_service, monkeypatch
+    ):
+        def explode(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(served_service, "execute", explode)
+        status, body = send(front_door, "POST", "/v1/query", {"query": QUERY_TEXT})
+        assert status == 500
+        assert body["code"] == "internal"
+        assert "RuntimeError: boom" in body["error"]
+
     def test_oversized_declared_body_is_413_envelope(self, front_door):
         host, port = front_door
         conn = http.client.HTTPConnection(host, port, timeout=30)
-        # declare an oversized body without paying to send it: both front
-        # doors must reject on the declared length, before the read
+        # declare an oversized body without paying to send it: the door must
+        # reject on the declared length, before the read
         conn.putrequest("POST", "/v1/query")
         conn.putheader("Content-Type", "application/json")
         conn.putheader("Content-Length", str(64 * 1024 * 1024))
@@ -219,34 +264,37 @@ class TestBatch:
         )
         response = conn.getresponse()
         assert response.status == 200
-        content_type = response.getheader("Content-Type") or ""
+        assert "ndjson" in (response.getheader("Content-Type") or "")
         raw = response.read()
         conn.close()
-        if "ndjson" in content_type:  # the async front door streams
-            lines = [json.loads(line) for line in raw.decode().splitlines()]
-            assert lines[-1] == {"done": True, "n_queries": 3}
-            items = [BatchItem.from_json(line) for line in lines[:-1]]
-        else:  # the threaded front door answers one JSON object
-            body = json.loads(raw)
-            assert body["n_queries"] == 3
-            items = []
-            for index, entry in enumerate(body["results"]):
-                if "error" in entry:
-                    items.append(BatchItem.from_json({"index": index, **entry}))
-                else:
-                    items.append(
-                        BatchItem.from_json({"index": index, "result": entry})
-                    )
+        lines = [json.loads(line) for line in raw.decode().splitlines()]
+        assert lines[-1] == {"done": True, "n_queries": 3}
+        items = [BatchItem.from_json(line) for line in lines[:-1]]
         by_index = {item.index: item for item in items}
         assert set(by_index) == {0, 1, 2}
         assert by_index[0].ok and by_index[2].ok
         assert not by_index[1].ok
         assert by_index[1].error.code == "query_syntax"
+        # a failing entry's inline envelope is exactly the /v1/query error body
+        _, query_error = send(front_door, "POST", "/v1/query", {"query": "garbage"})
+        inline = next(line for line in lines if line.get("index") == 1)
+        assert {k: v for k, v in inline.items() if k != "index"} == query_error
 
     def test_batch_rejects_non_list_queries(self, front_door):
         status, body = send(front_door, "POST", "/v1/batch", {"queries": "nope"})
         assert status == 400
         assert body["code"] == "bad_request"
+
+    @pytest.mark.parametrize("raw", BAD_BATCH_BODIES)
+    def test_bad_batch_body_is_400_envelope(self, front_door, raw):
+        status, body = send(front_door, "POST", "/v1/batch", raw_body=raw)
+        assert status == 400
+        assert body["code"] == "bad_request"
+
+    def test_empty_batch_answers_empty_results(self, front_door):
+        status, body = send(front_door, "POST", "/v1/batch", {"queries": []})
+        assert status == 200
+        assert body == {"results": [], "n_queries": 0}
 
 
 class TestUpdate:
@@ -328,27 +376,7 @@ class TestPrepare:
         assert body["code"] == "query_syntax"
 
 
-# -- jobs: the durable async job service, through both doors ---------------------------
-
-
-@pytest.fixture(scope="module")
-def jobs_threaded_server(dataset, tmp_path_factory):
-    from repro.jobs.manager import attach_jobs
-
-    service = _make_service(dataset)
-    attach_jobs(
-        service, str(tmp_path_factory.mktemp("jobs-threaded") / "journal.jsonl")
-    )
-    server = make_server(service, host="127.0.0.1", port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield host, port
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
-    service.jobs.close()
-    service.close()
+# -- jobs: the durable async job service -----------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -361,13 +389,13 @@ def jobs_async_server(dataset, tmp_path_factory):
         yield server.address
 
 
-@pytest.fixture(scope="module", params=["threaded", "async"])
-def jobs_front_door(request, jobs_threaded_server, jobs_async_server):
-    return jobs_threaded_server if request.param == "threaded" else jobs_async_server
+@pytest.fixture(scope="module", params=["async"])
+def jobs_front_door(jobs_async_server):
+    return jobs_async_server
 
 
 def _stream_events(address, job_id, timeout_s=30.0, headers=None):
-    """Read the NDJSON event stream until its ``done`` line (both framings)."""
+    """Read the chunked NDJSON event stream until its ``done`` line."""
     host, port = address
     conn = http.client.HTTPConnection(host, port, timeout=60)
     conn.request(

@@ -143,7 +143,7 @@ class _StubService:
 class TestBackpressureSignals:
     def test_external_inflight_shrinks_capacity(self):
         async def _run():
-            # 3 executions already in flight elsewhere (threaded server,
+            # 3 executions already in flight elsewhere (background jobs,
             # library calls) against a capacity of 4: only 1 unit left.
             service = _StubService(in_flight=3)
             controller = AdmissionController(

@@ -1,9 +1,8 @@
-"""Lifecycle tests: SIGTERM drain for both front-ends, via real subprocesses.
+"""Lifecycle tests: SIGTERM drain of ``repro serve``, via real subprocesses.
 
-These spawn ``python -m repro serve`` (threaded and ``--async``), wait for
-the listening line, verify the endpoint answers, send SIGTERM, and assert a
-clean drained exit — the contract that keeps shard workers from leaking
-under process supervisors.
+These spawn ``python -m repro serve``, wait for the listening line, verify
+the endpoint answers, send SIGTERM, and assert a clean drained exit — the
+contract that keeps shard workers from leaking under process supervisors.
 """
 
 from __future__ import annotations
@@ -63,9 +62,13 @@ def terminate_and_collect(process: subprocess.Popen) -> str:
     return output
 
 
-@pytest.mark.parametrize("mode", ["threaded", "async"])
-def test_sigterm_drains_and_exits_cleanly(mode):
-    args = ("--async", "--max-inflight", "2") if mode == "async" else ()
+# ``--async`` is a hidden no-op kept for old scripts: it must still start
+# the one server
+@pytest.mark.parametrize(
+    "args",
+    [pytest.param(("--async", "--max-inflight", "2"), id="async")],
+)
+def test_sigterm_drains_and_exits_cleanly(args):
     process, base_url = spawn_serve(*args)
     try:
         with urllib.request.urlopen(f"{base_url}/health", timeout=10) as response:
@@ -80,10 +83,8 @@ def test_sigterm_drains_and_exits_cleanly(mode):
 
 
 def test_async_sigterm_with_process_shards_releases_pool():
-    """--async --execution processes: the drain must close shard workers."""
-    process, base_url = spawn_serve(
-        "--async", "--execution", "processes", "--shards", "2"
-    )
+    """--execution processes: the drain must close shard workers."""
+    process, base_url = spawn_serve("--execution", "processes", "--shards", "2")
     try:
         body = json.dumps(
             {

@@ -153,7 +153,7 @@ class TestChunkedJsonWriter:
         writer = _StubWriter()
 
         async def _run():
-            stream = ChunkedJsonWriter(writer)
+            stream = ChunkedJsonWriter(writer, request_id="0123456789abcdef")
             await stream.start()
             await stream.send({"index": 0})
             await stream.send({"done": True})
@@ -163,6 +163,7 @@ class TestChunkedJsonWriter:
         head, _, tail = bytes(writer.data).partition(b"\r\n\r\n")
         assert b"Transfer-Encoding: chunked" in head
         assert b"Content-Type: application/x-ndjson" in head
+        assert b"X-Request-Id: 0123456789abcdef" in head
         # decode the chunked framing by hand and check NDJSON lines
         lines = []
         rest = tail

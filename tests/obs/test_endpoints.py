@@ -1,4 +1,4 @@
-"""Observability conformance on both front doors.
+"""Observability conformance on the HTTP front door.
 
 ``GET /v1/metrics`` must serve valid Prometheus text, ``?trace=1`` must
 return the v1 ``TraceSpan`` tree, every response must carry an
@@ -11,18 +11,19 @@ by the root's wall time.
 from __future__ import annotations
 
 import http.client
-import threading
+import json
+import socket
 
 import pytest
 
 from repro import EngineConfig, HypeRService
 from repro.api.client import HypeRClient
 from repro.api.schemas import TraceSpan
-from repro.aserve import BackgroundAsyncServer
+from repro.aserve import AdmissionRejected, BackgroundAsyncServer
 from repro.datasets import make_german_syn
+from repro.jobs.manager import attach_jobs
 from repro.obs.metrics import validate_exposition
 from repro.obs.trace import TraceContext
-from repro.service.server import make_server
 
 QUERY = (
     "USE Credit UPDATE(Status) = 4 OUTPUT COUNT(POST(Credit)) FOR POST(Credit) = 1"
@@ -47,27 +48,20 @@ def service(dataset):
 
 
 @pytest.fixture(scope="module")
-def threaded_door(service):
-    server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield server.server_address[:2]
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
+def async_server(service):
+    with BackgroundAsyncServer(service, max_inflight=4) as server:
+        yield server
 
 
 @pytest.fixture(scope="module")
-def async_door(service):
-    with BackgroundAsyncServer(service, max_inflight=4) as server:
-        yield server.address
+def async_door(async_server):
+    return async_server.address
 
 
-@pytest.fixture(params=["threaded", "async"])
-def door(request, threaded_door, async_door):
-    return threaded_door if request.param == "threaded" else async_door
+# a single param: test ids keep their ``[async]`` suffix across the suite
+@pytest.fixture(params=["async"])
+def door(async_door):
+    return async_door
 
 
 def _span_names(node: TraceSpan):
@@ -109,6 +103,44 @@ class TestMetricsEndpoint:
         assert validate_exposition(text) > 0
 
 
+CLIENT_ID = "deadbeef00000001"
+
+#: (method, path, body) — one probe per distinct response path of the door;
+#: the module's door admits 4 + 8 units, so a 64-query batch is a 413
+ROUTES = [
+    pytest.param("GET", "/v1/health", None, id="health"),
+    pytest.param("GET", "/health", None, id="health-alias"),
+    pytest.param("GET", "/v1/stats", None, id="stats"),
+    pytest.param("GET", "/v1/metrics", None, id="metrics"),
+    pytest.param("GET", "/v1/slow", None, id="slow"),
+    pytest.param("GET", "/v1/nowhere", None, id="unknown-path-404"),
+    pytest.param("POST", "/v1/query", {"query": QUERY}, id="query"),
+    pytest.param("POST", "/v1/query", {"query": "garbage"}, id="query-400"),
+    pytest.param("POST", "/v1/batch", {"queries": [QUERY, QUERY]}, id="batch-streamed"),
+    pytest.param("POST", "/v1/batch", {"queries": []}, id="batch-empty"),
+    pytest.param("POST", "/v1/batch", b"{not json", id="batch-malformed-400"),
+    pytest.param("POST", "/v1/batch", {"queries": [QUERY] * 64}, id="batch-413"),
+    pytest.param("POST", "/v1/update", {"assignments": {}}, id="update-400"),
+    pytest.param("POST", "/v1/prepare", {"queries": [QUERY]}, id="prepare"),
+    pytest.param("GET", "/v1/jobs", None, id="jobs-disabled-503"),
+    pytest.param("GET", "/v1/jobs/job-x/events", None, id="job-events-503"),
+]
+
+
+def exchange(address, method, path, body=None):
+    """One request carrying ``CLIENT_ID``; returns (status, response, raw body)."""
+    connection = http.client.HTTPConnection(*address, timeout=60)
+    if isinstance(body, dict):
+        body = json.dumps(body).encode()
+    try:
+        connection.request(method, path, body=body, headers={"X-Request-Id": CLIENT_ID})
+        response = connection.getresponse()
+        raw = response.read()
+    finally:
+        connection.close()
+    return response.status, response, raw
+
+
 class TestRequestId:
     def test_client_supplied_id_is_echoed(self, door):
         host, port = door
@@ -123,6 +155,62 @@ class TestRequestId:
             connection.close()
         assert response.getheader("X-Request-Id") == "deadbeef00000001"
 
+    @pytest.mark.parametrize("method, path, body", ROUTES)
+    def test_every_route_echoes_the_client_id(self, async_door, method, path, body):
+        _, response, _ = exchange(async_door, method, path, body)
+        assert response.getheader("X-Request-Id") == CLIENT_ID
+
+    def test_batch_429_echoes_the_client_id(self, async_server, monkeypatch):
+        def reject(units, *, endpoint):
+            raise AdmissionRejected("at capacity", retry_after=0.5)
+
+        monkeypatch.setattr(async_server.runner.admission, "try_admit", reject)
+        status, response, _ = exchange(
+            async_server.address, "POST", "/v1/batch", {"queries": [QUERY]}
+        )
+        assert status == 429
+        assert response.getheader("X-Request-Id") == CLIENT_ID
+
+    def test_draining_503_echoes_the_client_id(self, async_server, monkeypatch):
+        monkeypatch.setattr(async_server.runner.app, "draining", True)
+        status, response, _ = exchange(async_server.address, "GET", "/v1/health")
+        assert status == 503
+        assert response.getheader("X-Request-Id") == CLIENT_ID
+
+    def test_protocol_error_echoes_the_client_id(self, async_door):
+        connection = http.client.HTTPConnection(*async_door, timeout=30)
+        try:
+            # an oversized declared body fails in the protocol layer, after
+            # the headers (and so the client's id) have parsed
+            connection.putrequest("POST", "/v1/query")
+            connection.putheader("X-Request-Id", CLIENT_ID)
+            connection.putheader("Content-Length", str(64 * 1024 * 1024))
+            connection.endheaders()
+            response = connection.getresponse()
+            response.read()
+        finally:
+            connection.close()
+        assert response.status == 413
+        assert response.getheader("X-Request-Id") == CLIENT_ID
+
+    def test_job_event_stream_echoes_the_client_id(self, dataset, tmp_path):
+        service = HypeRService(dataset.database, dataset.causal_dag, CONFIG)
+        attach_jobs(service, str(tmp_path / "journal.jsonl"))
+        with BackgroundAsyncServer(service, max_inflight=2) as server:
+            status, response, raw = exchange(
+                server.address, "POST", "/v1/jobs", {"query": QUERY}
+            )
+            assert status == 202
+            assert response.getheader("X-Request-Id") == CLIENT_ID
+            job_id = json.loads(raw)["job_id"]
+            status, response, raw = exchange(
+                server.address, "GET", f"/v1/jobs/{job_id}/events"
+            )
+        assert status == 200
+        assert response.getheader("Transfer-Encoding") == "chunked"
+        assert response.getheader("X-Request-Id") == CLIENT_ID
+        assert json.loads(raw.splitlines()[-1])["done"] is True
+
     def test_server_mints_id_when_absent(self, door):
         host, port = door
         connection = http.client.HTTPConnection(host, port, timeout=30)
@@ -132,6 +220,34 @@ class TestRequestId:
             response.read()
         finally:
             connection.close()
+        assert response.getheader("X-Request-Id")
+
+    def test_unsafe_client_id_is_replaced_not_echoed(self, async_door):
+        with socket.create_connection(async_door, timeout=30) as sock:
+            sock.sendall(
+                b"GET /v1/health HTTP/1.1\r\nX-Request-Id: ab\rcd\r\n"
+                b"Connection: close\r\n\r\n"
+            )
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        head = raw.split(b"\r\n\r\n", 1)[0].decode("latin-1").split("\r\n")
+        echoed = [line for line in head if line.lower().startswith("x-request-id:")]
+        assert len(echoed) == 1
+        minted = echoed[0].split(":", 1)[1].strip()
+        assert minted != "ab\rcd" and minted.isalnum()
+
+    def test_server_mints_id_for_an_unparseable_request(self, async_door):
+        connection = http.client.HTTPConnection(*async_door, timeout=30)
+        try:
+            connection.putrequest("GET", "/v1/health")
+            connection.putheader("Transfer-Encoding", "chunked")
+            connection.endheaders()
+            response = connection.getresponse()
+            response.read()
+        finally:
+            connection.close()
+        assert response.status == 501
         assert response.getheader("X-Request-Id")
 
 
