@@ -31,6 +31,7 @@ import numpy as np
 from ..causal.dag import CausalDAG
 from ..exceptions import OptimizationError, QuerySemanticsError
 from ..ml.discretize import Discretizer
+from ..obs import trace as obs_trace
 from ..relational.types import IntegerDomain
 from ..optim.model import IntegerProgram, LinearExpression
 from ..optim.solution import SolveStatus
@@ -231,6 +232,21 @@ def build_howto_program(
     return program, variable_of
 
 
+def _distinct_non_null(values: np.ndarray) -> list[Any]:
+    """The distinct non-null entries of a column slice, each kept as stored."""
+    if values.dtype == object:
+        return [v for v in dict.fromkeys(values) if v is not None]
+    return list(np.unique(values))
+
+
+def _observed_range(column: np.ndarray) -> tuple[float, float] | None:
+    """``(min, max)`` of a column's non-null values, ``None`` when it has none."""
+    if column.dtype == object:
+        observed = [float(v) for v in column if v is not None]
+        return (min(observed), max(observed)) if observed else None
+    return (float(column.min()), float(column.max())) if len(column) else None
+
+
 @dataclass
 class HowToEngine:
     """Evaluates :class:`HowToQuery` objects."""
@@ -246,26 +262,29 @@ class HowToEngine:
     # -- public API ---------------------------------------------------------------------
 
     def evaluate(
-        self,
-        query: HowToQuery,
-        *,
-        prepared: PreparedHowTo | None = None,
-        candidates: Sequence[CandidateUpdate] | None = None,
+        self, query: HowToQuery, *, prepared: PreparedHowTo | None = None
     ) -> HowToResult:
         """Solve ``query`` with the IP formulation and return the recommended plan.
 
-        ``prepared`` / ``candidates`` inject reusable state from
-        :meth:`prepare` / :meth:`enumerate_candidates` (the service layer
-        caches both); omitted pieces are built fresh.
+        ``prepared`` injects reusable state from :meth:`prepare` (the service
+        layer builds it around its cached view and estimator); when omitted it
+        is built fresh.  Each phase is a trace span: ``howto.enumerate``,
+        ``howto.score``, ``optim.solve`` and ``howto.verify``.
         """
         started = time.perf_counter()
         shared = prepared if prepared is not None else self.prepare(query)
-        if candidates is None:
+        with obs_trace.span("howto.enumerate") as enumerate_span:
             candidates = self.enumerate_candidates(query, shared.view, shared.scope_mask)
-        baseline = self._candidate_value(query, shared, {})
-        coefficients = self._candidate_coefficients(query, shared, candidates, baseline)
+            if enumerate_span is not None:
+                enumerate_span.meta["candidates"] = len(candidates)
+        with obs_trace.span("howto.score"):
+            baseline = self._candidate_value(query, shared, {})
+            coefficients = self._candidate_coefficients(query, shared, candidates, baseline)
         program, variable_of = self._build_program(query, candidates, coefficients, baseline)
-        solution = BranchAndBoundSolver().solve(program)
+        with obs_trace.span("optim.solve") as solve_span:
+            solution = BranchAndBoundSolver().solve(program)
+            if solve_span is not None:
+                solve_span.meta["nodes"] = solution.n_nodes_explored
         if not solution.is_feasible:
             raise OptimizationError("the how-to integer program is infeasible")
 
@@ -277,8 +296,9 @@ class HowToEngine:
         recommended = [c.as_attribute_update() for c in chosen]
         verified = None
         if self.config.verify_howto_with_whatif and recommended:
-            post_values = self._post_values_for(query, shared, recommended)
-            verified = self._candidate_value(query, shared, post_values)
+            with obs_trace.span("howto.verify"):
+                post_values = self._post_values_for(query, shared, recommended)
+                verified = self._candidate_value(query, shared, post_values)
         per_attribute = {attribute: "no change" for attribute in query.update_attributes}
         for candidate in chosen:
             per_attribute[candidate.attribute] = candidate.label
@@ -307,13 +327,11 @@ class HowToEngine:
         *,
         max_combinations: int = 200_000,
         prepared: PreparedHowTo | None = None,
-        candidates: Sequence[CandidateUpdate] | None = None,
     ) -> HowToResult:
         """Opt-HowTo baseline: enumerate every candidate combination (Definition 8)."""
         started = time.perf_counter()
         shared = prepared if prepared is not None else self.prepare(query)
-        if candidates is None:
-            candidates = self.enumerate_candidates(query, shared.view, shared.scope_mask)
+        candidates = self.enumerate_candidates(query, shared.view, shared.scope_mask)
         baseline = self._candidate_value(query, shared, {})
         per_attribute: dict[str, list[CandidateUpdate | None]] = {
             attribute: [None] for attribute in query.update_attributes
@@ -524,11 +542,17 @@ class HowToEngine:
     def enumerate_candidates(
         self, query: HowToQuery, view: Relation, scope_mask: np.ndarray
     ) -> list[CandidateUpdate]:
-        """Admissible candidate updates per attribute (the sets ``S_{B_i}`` of Sec. 4.3)."""
+        """Admissible candidate updates per attribute (the sets ``S_{B_i}`` of Sec. 4.3).
+
+        A Limit verdict is a pure function of (pre-update value, update
+        function), so each function is checked once per *distinct* non-null
+        pre-update value of the scope rather than once per scope row.
+        """
         candidates: list[CandidateUpdate] = []
         scope_rows = np.flatnonzero(np.asarray(scope_mask, dtype=bool))
         for attribute in query.update_attributes:
-            pre_values = [view.column_view(attribute)[i] for i in scope_rows]
+            column = view.column_view(attribute)
+            pre_values = _distinct_non_null(column[scope_rows])
             domain = view.schema.domain(attribute)
             values: list[Any] = []
             limits = query.limits_for(attribute)
@@ -544,9 +568,9 @@ class HowToEngine:
             if allowed is not None:
                 values = list(allowed)
             elif domain.is_numeric:
-                observed = [float(v) for v in view.column_view(attribute) if v is not None]
-                low = lower if lower is not None else (min(observed) if observed else 0.0)
-                high = upper if upper is not None else (max(observed) if observed else 1.0)
+                observed = _observed_range(column)
+                low = lower if lower is not None else (observed[0] if observed else 0.0)
+                high = upper if upper is not None else (observed[1] if observed else 1.0)
                 if high <= low:
                     high = low + 1.0
                 discretizer = Discretizer(n_buckets=max(1, query.candidate_buckets)).fit(
@@ -557,7 +581,7 @@ class HowToEngine:
                     values = sorted({int(round(v)) for v in values})
             else:
                 values = list(domain.values()) if domain.is_finite else sorted(
-                    {v for v in view.column_view(attribute) if v is not None}
+                    {v for v in column if v is not None}
                 )
 
             for value in values:
@@ -588,14 +612,11 @@ class HowToEngine:
         pre_values: Sequence[Any],
         function: UpdateFunction,
     ) -> bool:
-        if not pre_values:
-            return True
-        for pre in pre_values:
-            if pre is None:
-                continue
-            if not query.admits(attribute, pre, function.apply(pre)):
-                return False
-        return True
+        """Whether the Limits admit ``function`` from every (non-null) pre-update value.
+
+        Vacuously true for an empty scope: no row can violate a Limit.
+        """
+        return all(query.admits(attribute, pre, function.apply(pre)) for pre in pre_values)
 
     @staticmethod
     def _fmt(value: Any) -> str:

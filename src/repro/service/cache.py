@@ -1,6 +1,6 @@
 """Size-bounded, stats-instrumented caches for cross-query state.
 
-The service layer keeps five caches, all keyed by fingerprint components that
+The service layer keeps four caches, all keyed by fingerprint components that
 embed the service's **per-relation generation counters** (see
 :class:`~repro.service.session.HypeRService`), so bumping a relation's
 generation invalidates every dependent entry by construction; entries are
@@ -14,7 +14,6 @@ additionally *tagged* with the relation names they were built from, letting
   weight* (training rows × features): one giant estimator can evict many
   small ones, which entry-count LRU alone cannot express;
 * **blocks** — the block-independent decomposition labels;
-* **candidates** — how-to candidate enumerations per exact query identity;
 * **results** — final query answers per exact query identity
   (:class:`TTLCache`), with an optional time-to-live for dashboard-style
   staleness bounds.
@@ -345,7 +344,6 @@ class QueryCaches:
         estimator_size: int = 64,
         view_size: int = 16,
         block_size: int = 8,
-        candidate_size: int = 64,
         result_size: int = 256,
         result_ttl_seconds: float | None = None,
         estimator_weigher: Callable[[Any], int] | None = None,
@@ -359,14 +357,13 @@ class QueryCaches:
         )
         self.views = LRUCache(view_size, "views")
         self.blocks = LRUCache(block_size, "blocks")
-        self.candidates = LRUCache(candidate_size, "candidates")
         # result_size=0 disables result caching entirely (see HypeRService).
         self.results = TTLCache(
             max(1, result_size), "results", ttl_seconds=result_ttl_seconds
         )
 
     def all(self) -> tuple[LRUCache, ...]:
-        return (self.estimators, self.views, self.blocks, self.candidates, self.results)
+        return (self.estimators, self.views, self.blocks, self.results)
 
     def clear(self) -> None:
         for cache in self.all():

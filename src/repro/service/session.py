@@ -187,8 +187,7 @@ class HypeRService:
     ----------
     database / causal_dag / config:
         Exactly as for :class:`repro.core.engine.HypeR`.
-    estimator_cache_size / view_cache_size / block_cache_size /
-    candidate_cache_size:
+    estimator_cache_size / view_cache_size / block_cache_size:
         LRU bounds of the cross-query caches (entries).  A view entry holds
         the materialised relevant view together with its DAG projection.
     estimator_cache_weight:
@@ -221,7 +220,6 @@ class HypeRService:
         estimator_cache_size: int = 64,
         view_cache_size: int = 16,
         block_cache_size: int = 8,
-        candidate_cache_size: int = 64,
         estimator_cache_weight: int | None = 50_000_000,
         result_cache_size: int = 256,
         result_ttl_seconds: float | None = None,
@@ -246,7 +244,6 @@ class HypeRService:
             estimator_size=estimator_cache_size,
             view_size=view_cache_size,
             block_size=block_cache_size,
-            candidate_size=candidate_cache_size,
             result_size=result_cache_size,
             result_ttl_seconds=result_ttl_seconds,
             estimator_weigher=_estimator_weight,
@@ -932,18 +929,9 @@ class HypeRService:
         prepared = state.howto.prepare(
             query, view=view, estimator=estimator, view_dag=view_dag
         )
-        candidates = self.caches.candidates.get_or_create(
-            ("candidates", fingerprint.query_key),
-            lambda: state.howto.enumerate_candidates(
-                query, prepared.view, prepared.scope_mask
-            ),
-            tags=deps,
-        )
         if exhaustive:
-            return state.howto.evaluate_exhaustive(
-                query, prepared=prepared, candidates=candidates
-            )
-        return state.howto.evaluate(query, prepared=prepared, candidates=candidates)
+            return state.howto.evaluate_exhaustive(query, prepared=prepared)
+        return state.howto.evaluate(query, prepared=prepared)
 
     # -- shard pool (processes mode) -------------------------------------------------------
 

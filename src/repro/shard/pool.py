@@ -13,11 +13,11 @@ untouched relations stay warm — the pool is never restarted for an update.
 
 Inside a worker, a :class:`ShardWorkerRuntime` keeps the same kind of
 plan-level caches the thread-mode service keeps in-process: materialised
-relevant views, fitted estimators (each with its internal regressor cache) and
-how-to candidate enumerations, keyed by plan fingerprints.  Repeated-template
-workloads therefore pay the estimator fit once *per worker* and pure
-prediction afterwards — CPU-bound fits run truly in parallel across processes,
-which is the scaling step the GIL denies the thread-pool executor.
+relevant views and fitted estimators (each with its internal regressor cache),
+keyed by plan fingerprints.  Repeated-template workloads therefore pay the
+estimator fit once *per worker* and pure prediction afterwards — CPU-bound fits
+run truly in parallel across processes, which is the scaling step the GIL
+denies the thread-pool executor.
 
 When worker processes cannot be started (no usable ``multiprocessing`` start
 method, sandboxed semaphores, pickling failure), the pool degrades to an
@@ -119,7 +119,6 @@ class ShardWorkerRuntime:
         self._local_views = LRUCache(16, "worker-local-views")
         self._block_assignments = LRUCache(16, "worker-blocks")
         self._estimators = LRUCache(64, "worker-estimators")
-        self._candidates = LRUCache(64, "worker-candidates")
         # Per-plan fused-kernel caches (repro.relational.columnar.KernelCache):
         # every deterministic intermediate that parameter variants of one plan
         # share — masks, output columns, index sets, encoded design blocks.
@@ -309,15 +308,13 @@ class ShardWorkerRuntime:
         self.whatif = WhatIfEngine(database, self.causal_dag, self.config)
         self.howto = HowToEngine(self.whatif.database, self.causal_dag, self.config)
         if payload.get("clear_caches"):
-            evicted = len(self._views) + len(self._estimators) + len(self._candidates)
+            evicted = len(self._views) + len(self._estimators)
             self._views.clear()
             self._estimators.clear()
-            self._candidates.clear()
         else:
             dirty = set(changed_relations) | removed
             evicted = self._views.evict_tagged(dirty)
             evicted += self._estimators.evict_tagged(dirty)
-            evicted += self._candidates.evict_tagged(dirty)
         self._local_views.clear()
         self._block_assignments.clear()
         # Kernel caches hold row-geometry-dependent arrays (masks, index sets)
@@ -436,13 +433,7 @@ class ShardWorkerRuntime:
         shared = self.howto.prepare(
             query, view=view, estimator=estimator, view_dag=view_dag
         )
-        candidates = self._candidates.get_or_create(
-            ("candidates", fingerprint.query_key),
-            lambda: self.howto.enumerate_candidates(
-                query, shared.view, shared.scope_mask
-            ),
-            tags=deps,
-        )
+        candidates = self.howto.enumerate_candidates(query, shared.view, shared.scope_mask)
         return shared, candidates, estimator
 
     def _how_to_local(self, query: HowToQuery):

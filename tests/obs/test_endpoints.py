@@ -1,7 +1,8 @@
 """Observability conformance on the HTTP front door.
 
 ``GET /v1/metrics`` must serve valid Prometheus text, ``?trace=1`` must
-return the v1 ``TraceSpan`` tree, every response must carry an
+return the v1 ``TraceSpan`` tree (for a how-to, down to the engine's
+enumerate/score/solve/verify spans), every response must carry an
 ``X-Request-Id`` (echoing the client's), and ``GET /v1/slow`` entries must
 name the offending request.  The sharded test asserts the span-tree shape:
 shard-worker spans nested under the broadcast, and child durations bounded
@@ -27,6 +28,11 @@ from repro.obs.trace import TraceContext
 
 QUERY = (
     "USE Credit UPDATE(Status) = 4 OUTPUT COUNT(POST(Credit)) FOR POST(Credit) = 1"
+)
+HOWTO = (
+    "USE Credit HOWTOUPDATE Status, Housing "
+    "LIMIT 1 <= POST(Status) <= 4 AND 1 <= POST(Housing) <= 3 "
+    "TOMAXIMIZE COUNT(POST(Credit)) FOR POST(Credit) = 1"
 )
 CONFIG = EngineConfig(regressor="linear")
 
@@ -265,6 +271,26 @@ class TestTracedQuery:
         # execute nests inside the cache span on a miss; a warm repeat hits
         cache = _find(tree, "cache.result")
         assert cache.meta is not None and "hit" in cache.meta
+
+    def test_how_to_engine_spans(self, door):
+        host, port = door
+        with HypeRClient(host, port, timeout=60.0, trace=True) as client:
+            answer = client.query(HOWTO)
+        execute = _find(answer.trace, "execute")
+        assert execute is not None, "the how-to text must miss the result cache"
+        engine = [c for c in execute.children if c.name.startswith(("howto.", "optim."))]
+        # the plan changes something, so the chosen updates are verified
+        assert answer.plan and set(answer.plan.values()) != {"no change"}
+        assert [span.name for span in engine] == [
+            "howto.enumerate",
+            "howto.score",
+            "optim.solve",
+            "howto.verify",
+        ]
+        enumerate_span, _score, solve, _verify = engine
+        assert enumerate_span.meta["candidates"] > 0
+        assert solve.meta["nodes"] >= 1
+        assert sum(span.duration_ms for span in engine) <= execute.duration_ms + 1e-3
 
     def test_untraced_answer_has_no_trace(self, door):
         host, port = door

@@ -191,11 +191,11 @@ class TestTTLCache:
 
 class TestQueryCaches:
     def test_bundle_layout_and_clear(self):
-        caches = QueryCaches(estimator_size=2, view_size=2, block_size=2, candidate_size=2)
+        caches = QueryCaches(estimator_size=2, view_size=2, block_size=2)
         caches.views.put("v", 1)
         caches.estimators.put("e", 2)
         stats = caches.stats()
-        assert set(stats) == {"estimators", "views", "blocks", "candidates", "results"}
+        assert set(stats) == {"estimators", "views", "blocks", "results"}
         assert stats["views"]["size"] == 1
         caches.clear()
         assert len(caches.views) == 0 and len(caches.estimators) == 0
